@@ -3374,237 +3374,103 @@ static double __pyx_f_12carrieralloc_8_kernels__log_marginal(int __pyx_v_family,
   return __pyx_r;
 }
 
-/* "carrieralloc/_kernels.pyx":100
- * 
- * 
- * cdef double _inverse_log_marginal(             # <<<<<<<<<<<<<<
- *     int family, double q1, double q2, double price, double r_cap,
- *     double eps_r, double tol_r, int max_iters,
+/* "carrieralloc/_kernels.pyx": _inverse_log_marginal
+ *
+ * Ported by hand from the closed-form _inverse_log_marginal in
+ * _kernels.pyx, not generated by Cython: every operation follows the .pyx
+ * in the same order. The rest of this file was generated from an earlier
+ * .pyx, so its line references into the .pyx predate the port.
 */
 
-static double __pyx_f_12carrieralloc_8_kernels__inverse_log_marginal(int __pyx_v_family, double __pyx_v_q1, double __pyx_v_q2, double __pyx_v_price, double __pyx_v_r_cap, double __pyx_v_eps_r, double __pyx_v_tol_r, int __pyx_v_max_iters) {
-  double __pyx_v_lo;
-  double __pyx_v_hi;
-  double __pyx_v_mid;
+static double __pyx_f_12carrieralloc_8_kernels__inverse_log_marginal(int __pyx_v_family, double __pyx_v_q1, double __pyx_v_q2, double __pyx_v_price, double __pyx_v_r_cap, double __pyx_v_eps_r, CYTHON_UNUSED double __pyx_v_tol_r, CYTHON_UNUSED int __pyx_v_max_iters) {
+  double __pyx_v_e_ab;
+  double __pyx_v_d;
+  double __pyx_v_h;
+  double __pyx_v_root;
+  double __pyx_v_big;
+  double __pyx_v_oms;
+  double __pyx_v_s;
+  double __pyx_v_t;
+  double __pyx_v_r;
+  double __pyx_v_z;
+  double __pyx_v_big_l;
+  double __pyx_v_ln_l;
+  double __pyx_v_u;
+  double __pyx_v_step;
   int __pyx_v_it;
-  double __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
 
-  /* "carrieralloc/_kernels.pyx":104
- *     double eps_r, double tol_r, int max_iters,
- * ) noexcept nogil:
- *     cdef double lo = eps_r             # <<<<<<<<<<<<<<
- *     cdef double hi = r_cap
- *     cdef double mid
-*/
-  __pyx_v_lo = __pyx_v_eps_r;
-
-  /* "carrieralloc/_kernels.pyx":105
- * ) noexcept nogil:
- *     cdef double lo = eps_r
- *     cdef double hi = r_cap             # <<<<<<<<<<<<<<
- *     cdef double mid
- *     cdef int it = 0
-*/
-  __pyx_v_hi = __pyx_v_r_cap;
-
-  /* "carrieralloc/_kernels.pyx":107
- *     cdef double hi = r_cap
- *     cdef double mid
- *     cdef int it = 0             # <<<<<<<<<<<<<<
- *     if hi <= lo:
- *         return hi
-*/
-  __pyx_v_it = 0;
-
-  /* "carrieralloc/_kernels.pyx":108
- *     cdef double mid
- *     cdef int it = 0
- *     if hi <= lo:             # <<<<<<<<<<<<<<
- *         return hi
- *     if _log_marginal(family, q1, q2, lo) < price:
-*/
-  __pyx_t_1 = (__pyx_v_hi <= __pyx_v_lo);
-  if (__pyx_t_1) {
-
-    /* "carrieralloc/_kernels.pyx":109
- *     cdef int it = 0
- *     if hi <= lo:
- *         return hi             # <<<<<<<<<<<<<<
- *     if _log_marginal(family, q1, q2, lo) < price:
- *         return lo
-*/
-    __pyx_r = __pyx_v_hi;
-    goto __pyx_L0;
-
-    /* "carrieralloc/_kernels.pyx":108
- *     cdef double mid
- *     cdef int it = 0
- *     if hi <= lo:             # <<<<<<<<<<<<<<
- *         return hi
- *     if _log_marginal(family, q1, q2, lo) < price:
-*/
+  if (__pyx_v_r_cap <= __pyx_v_eps_r) {
+    return __pyx_v_r_cap;
   }
-
-  /* "carrieralloc/_kernels.pyx":110
- *     if hi <= lo:
- *         return hi
- *     if _log_marginal(family, q1, q2, lo) < price:             # <<<<<<<<<<<<<<
- *         return lo
- *     if _log_marginal(family, q1, q2, hi) > price:
-*/
-  __pyx_t_1 = (__pyx_f_12carrieralloc_8_kernels__log_marginal(__pyx_v_family, __pyx_v_q1, __pyx_v_q2, __pyx_v_lo) < __pyx_v_price);
-  if (__pyx_t_1) {
-
-    /* "carrieralloc/_kernels.pyx":111
- *         return hi
- *     if _log_marginal(family, q1, q2, lo) < price:
- *         return lo             # <<<<<<<<<<<<<<
- *     if _log_marginal(family, q1, q2, hi) > price:
- *         return hi
-*/
-    __pyx_r = __pyx_v_lo;
-    goto __pyx_L0;
-
-    /* "carrieralloc/_kernels.pyx":110
- *     if hi <= lo:
- *         return hi
- *     if _log_marginal(family, q1, q2, lo) < price:             # <<<<<<<<<<<<<<
- *         return lo
- *     if _log_marginal(family, q1, q2, hi) > price:
-*/
-  }
-
-  /* "carrieralloc/_kernels.pyx":112
- *     if _log_marginal(family, q1, q2, lo) < price:
- *         return lo
- *     if _log_marginal(family, q1, q2, hi) > price:             # <<<<<<<<<<<<<<
- *         return hi
- *     while hi - lo > tol_r and it < max_iters:
-*/
-  __pyx_t_1 = (__pyx_f_12carrieralloc_8_kernels__log_marginal(__pyx_v_family, __pyx_v_q1, __pyx_v_q2, __pyx_v_hi) > __pyx_v_price);
-  if (__pyx_t_1) {
-
-    /* "carrieralloc/_kernels.pyx":113
- *         return lo
- *     if _log_marginal(family, q1, q2, hi) > price:
- *         return hi             # <<<<<<<<<<<<<<
- *     while hi - lo > tol_r and it < max_iters:
- *         mid = 0.5 * (lo + hi)
-*/
-    __pyx_r = __pyx_v_hi;
-    goto __pyx_L0;
-
-    /* "carrieralloc/_kernels.pyx":112
- *     if _log_marginal(family, q1, q2, lo) < price:
- *         return lo
- *     if _log_marginal(family, q1, q2, hi) > price:             # <<<<<<<<<<<<<<
- *         return hi
- *     while hi - lo > tol_r and it < max_iters:
-*/
-  }
-
-  /* "carrieralloc/_kernels.pyx":114
- *     if _log_marginal(family, q1, q2, hi) > price:
- *         return hi
- *     while hi - lo > tol_r and it < max_iters:             # <<<<<<<<<<<<<<
- *         mid = 0.5 * (lo + hi)
- *         if _log_marginal(family, q1, q2, mid) >= price:
-*/
-  while (1) {
-    __pyx_t_2 = ((__pyx_v_hi - __pyx_v_lo) > __pyx_v_tol_r);
-    if (__pyx_t_2) {
+  if (__pyx_v_family == __pyx_v_12carrieralloc_8_kernels__SIG) {
+    __pyx_v_e_ab = exp(((-__pyx_v_q1) * __pyx_v_q2));
+    __pyx_v_d = (__pyx_v_e_ab / (1.0 + __pyx_v_e_ab));
+    __pyx_v_h = (0.5 * (__pyx_v_q1 - __pyx_v_price));
+    if (fabs(__pyx_v_h) > 1e150) {
+      __pyx_v_root = (fabs(__pyx_v_h) * sqrt((1.0 + (((__pyx_v_q1 * __pyx_v_d) / __pyx_v_h) * (__pyx_v_price / __pyx_v_h)))));
     } else {
-      __pyx_t_1 = __pyx_t_2;
-      goto __pyx_L8_bool_binop_done;
+      __pyx_v_root = sqrt(((__pyx_v_h * __pyx_v_h) + ((__pyx_v_q1 * __pyx_v_d) * __pyx_v_price)));
     }
-    __pyx_t_2 = (__pyx_v_it < __pyx_v_max_iters);
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_L8_bool_binop_done:;
-    if (!__pyx_t_1) break;
-
-    /* "carrieralloc/_kernels.pyx":115
- *         return hi
- *     while hi - lo > tol_r and it < max_iters:
- *         mid = 0.5 * (lo + hi)             # <<<<<<<<<<<<<<
- *         if _log_marginal(family, q1, q2, mid) >= price:
- *             lo = mid
-*/
-    __pyx_v_mid = (0.5 * (__pyx_v_lo + __pyx_v_hi));
-
-    /* "carrieralloc/_kernels.pyx":116
- *     while hi - lo > tol_r and it < max_iters:
- *         mid = 0.5 * (lo + hi)
- *         if _log_marginal(family, q1, q2, mid) >= price:             # <<<<<<<<<<<<<<
- *             lo = mid
- *         else:
-*/
-    __pyx_t_1 = (__pyx_f_12carrieralloc_8_kernels__log_marginal(__pyx_v_family, __pyx_v_q1, __pyx_v_q2, __pyx_v_mid) >= __pyx_v_price);
-    if (__pyx_t_1) {
-
-      /* "carrieralloc/_kernels.pyx":117
- *         mid = 0.5 * (lo + hi)
- *         if _log_marginal(family, q1, q2, mid) >= price:
- *             lo = mid             # <<<<<<<<<<<<<<
- *         else:
- *             hi = mid
-*/
-      __pyx_v_lo = __pyx_v_mid;
-
-      /* "carrieralloc/_kernels.pyx":116
- *     while hi - lo > tol_r and it < max_iters:
- *         mid = 0.5 * (lo + hi)
- *         if _log_marginal(family, q1, q2, mid) >= price:             # <<<<<<<<<<<<<<
- *             lo = mid
- *         else:
-*/
-      goto __pyx_L10;
+    __pyx_v_big = ((0.5 * (__pyx_v_q1 + __pyx_v_price)) + __pyx_v_root);
+    __pyx_v_oms = ((__pyx_v_price * (1.0 - __pyx_v_d)) / __pyx_v_big);
+    if (__pyx_v_h >= 0.0) {
+      __pyx_v_s = ((__pyx_v_h + __pyx_v_root) / __pyx_v_q1);
+      if (__pyx_v_s <= 0.0) {
+        return __pyx_v_eps_r;
+      }
+      if (__pyx_v_oms <= 0.0) {
+        return __pyx_v_r_cap;
+      }
+      __pyx_v_r = (__pyx_v_q2 + ((log(__pyx_v_s) - log(__pyx_v_oms)) / __pyx_v_q1));
+    } else if (__pyx_v_d > 0.0) {
+      __pyx_v_t = (__pyx_v_q1 / (__pyx_v_root - __pyx_v_h));
+      __pyx_v_r = ((log1p((__pyx_v_t * __pyx_v_oms)) + log1p((__pyx_v_t * __pyx_v_d))) / __pyx_v_q1);
+    } else {
+      return __pyx_v_eps_r;
     }
-
-    /* "carrieralloc/_kernels.pyx":119
- *             lo = mid
- *         else:
- *             hi = mid             # <<<<<<<<<<<<<<
- *         it += 1
- *     return 0.5 * (lo + hi)
-*/
-    /*else*/ {
-      __pyx_v_hi = __pyx_v_mid;
+  } else {
+    __pyx_v_z = (__pyx_v_q1 / __pyx_v_price);
+    if (__pyx_v_z <= 0.0) {
+      return __pyx_v_eps_r;
     }
-    __pyx_L10:;
-
-    /* "carrieralloc/_kernels.pyx":120
- *         else:
- *             hi = mid
- *         it += 1             # <<<<<<<<<<<<<<
- *     return 0.5 * (lo + hi)
- * 
-*/
-    __pyx_v_it = (__pyx_v_it + 1);
+    if (__pyx_v_z > 1.7976931348623157e308) {
+      __pyx_v_big_l = (log(__pyx_v_q1) - log(__pyx_v_price));
+    } else {
+      __pyx_v_big_l = log(__pyx_v_z);
+    }
+    if (__pyx_v_big_l >= 1.0) {
+      __pyx_v_ln_l = log(__pyx_v_big_l);
+      __pyx_v_u = ((__pyx_v_big_l - __pyx_v_ln_l) + (__pyx_v_ln_l / __pyx_v_big_l));
+      for (__pyx_v_it = 0; __pyx_v_it < 8; __pyx_v_it++) {
+        __pyx_v_step = ((((log(__pyx_v_u) + __pyx_v_u) - __pyx_v_big_l) * __pyx_v_u) / (1.0 + __pyx_v_u));
+        __pyx_v_u = (__pyx_v_u - __pyx_v_step);
+        if (fabs(__pyx_v_step) <= (1e-8 * __pyx_v_u)) break;
+      }
+      if (__pyx_v_z > 1.7976931348623157e308) {
+        if (__pyx_v_u > 709.782712893384) {
+          return __pyx_v_r_cap;
+        }
+        __pyx_v_r = (expm1(__pyx_v_u) / __pyx_v_q1);
+      } else {
+        __pyx_v_r = (((__pyx_v_z / __pyx_v_u) - 1.0) / __pyx_v_q1);
+      }
+    } else {
+      __pyx_v_u = (__pyx_v_z / (1.0 + __pyx_v_z));
+      for (__pyx_v_it = 0; __pyx_v_it < 8; __pyx_v_it++) {
+        __pyx_v_step = ((__pyx_v_u - (__pyx_v_z * exp((-__pyx_v_u)))) / (1.0 + __pyx_v_u));
+        __pyx_v_u = (__pyx_v_u - __pyx_v_step);
+        if (fabs(__pyx_v_step) <= (1e-8 * __pyx_v_u)) break;
+      }
+      __pyx_v_r = (expm1(__pyx_v_u) / __pyx_v_q1);
+    }
   }
-
-  /* "carrieralloc/_kernels.pyx":121
- *             hi = mid
- *         it += 1
- *     return 0.5 * (lo + hi)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (0.5 * (__pyx_v_lo + __pyx_v_hi));
-  goto __pyx_L0;
-
-  /* "carrieralloc/_kernels.pyx":100
- * 
- * 
- * cdef double _inverse_log_marginal(             # <<<<<<<<<<<<<<
- *     int family, double q1, double q2, double price, double r_cap,
- *     double eps_r, double tol_r, int max_iters,
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
+  if (__pyx_v_r < __pyx_v_eps_r) {
+    return __pyx_v_eps_r;
+  }
+  if (__pyx_v_r > __pyx_v_r_cap) {
+    return __pyx_v_r_cap;
+  }
+  return __pyx_v_r;
 }
 
 /* "carrieralloc/_kernels.pyx":124

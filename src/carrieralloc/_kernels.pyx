@@ -3,9 +3,16 @@
 
 Any change to the fallback must be mirrored here with the same operation
 order; the build disables FP contraction so both backends round identically.
+
+The checked-in ``_kernels.c`` was generated by Cython 3.2.8 from an earlier
+version of this file, except for one function: the closed-form
+``_inverse_log_marginal`` was ported into it by hand, operation for
+operation, as the C function
+``__pyx_f_12carrieralloc_8_kernels__inverse_log_marginal``. Regenerate the
+C file from this one with Cython where it is available.
 """
 
-from libc.math cimport exp, log, log1p, INFINITY
+from libc.math cimport exp, expm1, fabs, log, log1p, sqrt, INFINITY
 from libc.stdlib cimport free, malloc
 
 SIGMOIDAL = 0
@@ -101,24 +108,71 @@ cdef double _inverse_log_marginal(
     int family, double q1, double q2, double price, double r_cap,
     double eps_r, double tol_r, int max_iters,
 ) noexcept nogil:
-    cdef double lo = eps_r
-    cdef double hi = r_cap
-    cdef double mid
-    cdef int it = 0
-    if hi <= lo:
-        return hi
-    if _log_marginal(family, q1, q2, lo) < price:
-        return lo
-    if _log_marginal(family, q1, q2, hi) > price:
-        return hi
-    while hi - lo > tol_r and it < max_iters:
-        mid = 0.5 * (lo + hi)
-        if _log_marginal(family, q1, q2, mid) >= price:
-            lo = mid
+    # Closed form; see _kernels_py.inverse_log_marginal. tol_r and
+    # max_iters are ignored. The literals are DBL_MAX, ln(DBL_MAX), the
+    # |h| past which h * h would overflow, and the Newton step cap and
+    # relative stopping step.
+    cdef double e_ab, d, h, root, big, oms, s, t, r, z, big_l, ln_l, u, step
+    cdef int it
+    if r_cap <= eps_r:
+        return r_cap
+    if family == _SIG:
+        e_ab = exp(-q1 * q2)
+        d = e_ab / (1.0 + e_ab)
+        h = 0.5 * (q1 - price)
+        if fabs(h) > 1e150:
+            root = fabs(h) * sqrt(1.0 + (q1 * d / h) * (price / h))
         else:
-            hi = mid
-        it += 1
-    return 0.5 * (lo + hi)
+            root = sqrt(h * h + q1 * d * price)
+        big = 0.5 * (q1 + price) + root
+        oms = price * (1.0 - d) / big
+        if h >= 0.0:
+            s = (h + root) / q1
+            if s <= 0.0:
+                return eps_r
+            if oms <= 0.0:
+                return r_cap
+            r = q2 + (log(s) - log(oms)) / q1
+        elif d > 0.0:
+            t = q1 / (root - h)
+            r = (log1p(t * oms) + log1p(t * d)) / q1
+        else:
+            return eps_r
+    else:
+        z = q1 / price
+        if z <= 0.0:
+            return eps_r
+        if z > 1.7976931348623157e308:
+            big_l = log(q1) - log(price)
+        else:
+            big_l = log(z)
+        if big_l >= 1.0:
+            ln_l = log(big_l)
+            u = big_l - ln_l + ln_l / big_l
+            for it in range(8):
+                step = (log(u) + u - big_l) * u / (1.0 + u)
+                u = u - step
+                if fabs(step) <= 1e-8 * u:
+                    break
+            if z > 1.7976931348623157e308:
+                if u > 709.782712893384:
+                    return r_cap
+                r = expm1(u) / q1
+            else:
+                r = (z / u - 1.0) / q1
+        else:
+            u = z / (1.0 + z)
+            for it in range(8):
+                step = (u - z * exp(-u)) / (1.0 + u)
+                u = u - step
+                if fabs(step) <= 1e-8 * u:
+                    break
+            r = expm1(u) / q1
+    if r < eps_r:
+        return eps_r
+    if r > r_cap:
+        return r_cap
+    return r
 
 
 cdef double _net_benefit(

@@ -12,6 +12,7 @@ carries (q1, q2) = (k, r_max).
 from __future__ import annotations
 
 import math
+import sys
 
 SIGMOIDAL = 0
 LOGARITHMIC = 1
@@ -27,6 +28,15 @@ RESTART_FACTOR = 1e-2
 MAX_RESTARTS = 8
 
 _INF = math.inf
+_DBL_MAX = sys.float_info.max
+# expm1(u) overflows past this.
+_LN_DBL_MAX = math.log(_DBL_MAX)
+# Past this |h|, h * h in the sigmoid inverse would overflow.
+_HUGE_H = 1e150
+# Newton steps of the log inverse. Convergence is quadratic, so once a step
+# moves u by at most _NEWTON_RTOL * u, u is exact to float64 resolution.
+_NEWTON_STEPS = 8
+_NEWTON_RTOL = 1e-8
 
 
 def _sigmoid_parts(x):
@@ -115,28 +125,88 @@ def log_marginal(family, q1, q2, r):
 
 
 def inverse_log_marginal(family, q1, q2, price, r_cap, eps_r, tol_r, max_iters):
-    """Unique r in [eps_r, r_cap] with log_marginal(r) = price, by bisection.
+    """Unique r in [eps_r, r_cap] with log_marginal(r) = price, in closed form.
 
-    Returns r_cap when even the cap's marginal exceeds the price (cap
-    binds) and eps_r when the price exceeds the floor's marginal.
+    Returns r_cap when the root lies above the cap (cap binds) or when
+    r_cap <= eps_r, and eps_r when it lies below the floor. ``tol_r`` and
+    ``max_iters`` are accepted for the signature's sake and ignored.
+
+    Sigmoid: a*s*(1 - s) = price*(s - d) is a quadratic in s. With
+    h = (a - price)/2 and root = sqrt(h^2 + a*d*price), s = (h + root)/a and
+    1 - s = price*(1 - d)/((a + price)/2 + root), and r = b + logit(s)/a.
+    Above the plateau (price > a) the root sits near d, and r is taken from
+    s/d and (1 - s)/(1 - d) instead, without cancelling against b. When d
+    underflows to zero the marginal is a*(1 - s) < a, so a price at or
+    above a lands on the floor.
+
+    Log: u = ln(1 + k*r) solves u * e^u = z = k/price. Newton on
+    u + ln u = ln z from the asymptotic start of Lambert's W when ln z >= 1,
+    then r = (z/u - 1)/k; Newton on u * e^u = z from z/(1 + z) below that,
+    then r = expm1(u)/k.
     """
-    lo = eps_r
-    hi = r_cap
-    if hi <= lo:
-        return hi
-    if log_marginal(family, q1, q2, lo) < price:
-        return lo
-    if log_marginal(family, q1, q2, hi) > price:
-        return hi
-    it = 0
-    while hi - lo > tol_r and it < max_iters:
-        mid = 0.5 * (lo + hi)
-        if log_marginal(family, q1, q2, mid) >= price:
-            lo = mid
+    if r_cap <= eps_r:
+        return r_cap
+    if family == SIGMOIDAL:
+        e_ab = math.exp(-q1 * q2)
+        d = e_ab / (1.0 + e_ab)
+        h = 0.5 * (q1 - price)
+        if abs(h) > _HUGE_H:
+            root = abs(h) * math.sqrt(1.0 + (q1 * d / h) * (price / h))
         else:
-            hi = mid
-        it += 1
-    return 0.5 * (lo + hi)
+            root = math.sqrt(h * h + q1 * d * price)
+        big = 0.5 * (q1 + price) + root
+        oms = price * (1.0 - d) / big
+        if h >= 0.0:
+            s = (h + root) / q1
+            if s <= 0.0:
+                return eps_r
+            if oms <= 0.0:
+                return r_cap
+            r = q2 + (math.log(s) - math.log(oms)) / q1
+        elif d > 0.0:
+            # With t = a/(root - h): s/d = 1 + t*(1 - s),
+            # (1 - d)/(1 - s) = 1 + t*d and logit(d) = -a*b.
+            t = q1 / (root - h)
+            r = (math.log1p(t * oms) + math.log1p(t * d)) / q1
+        else:
+            return eps_r
+    else:
+        z = q1 / price
+        if z <= 0.0:
+            return eps_r
+        if z > _DBL_MAX:
+            big_l = math.log(q1) - math.log(price)
+        else:
+            big_l = math.log(z)
+        if big_l >= 1.0:
+            ln_l = math.log(big_l)
+            u = big_l - ln_l + ln_l / big_l
+            for _ in range(_NEWTON_STEPS):
+                step = (math.log(u) + u - big_l) * u / (1.0 + u)
+                u -= step
+                if abs(step) <= _NEWTON_RTOL * u:
+                    break
+            if z > _DBL_MAX:
+                if u > _LN_DBL_MAX:
+                    return r_cap
+                r = math.expm1(u) / q1
+            else:
+                # e^u = z/u: unlike expm1(u), no error amplified by u
+                r = (z / u - 1.0) / q1
+        else:
+            # Small u: ln u - ln z would cancel, so iterate on u * e^u = z.
+            u = z / (1.0 + z)
+            for _ in range(_NEWTON_STEPS):
+                step = (u - z * math.exp(-u)) / (1.0 + u)
+                u -= step
+                if abs(step) <= _NEWTON_RTOL * u:
+                    break
+            r = math.expm1(u) / q1
+    if r < eps_r:
+        return eps_r
+    if r > r_cap:
+        return r_cap
+    return r
 
 
 def net_benefit(family, q1, q2, price, offset, r_cap, eps_r, tol_r, max_iters):

@@ -84,7 +84,7 @@ def fluctuation_clamp(w_new: float, w_prev: float, n: int, l1: float, l2: float)
 def rate_cap_for(
     entries: Sequence[Entry], capacity: float, params: SolverParams
 ) -> float:
-    """Bisection cap: explicit override, or 2 * max(capacity, largest r_max).
+    """Response cap: explicit override, or 2 * max(capacity, largest r_max).
 
     The headroom factor matters: capping demand exactly at the capacity
     would let a single user demand exactly the capacity over a whole range
@@ -115,13 +115,19 @@ def _clear_market(
 ) -> tuple[float, tuple[float, ...], bool]:
     """Root-find the price at which demand meets capacity: (price, rates, converged).
 
-    Demand is non-increasing in price. The search first walks log p away
-    from INIT_PRICE with doubling steps until the clearing price is
-    bracketed, staying within the positive normal floats, then narrows the
-    bracket by the Illinois variant of regula falsi on log(demand/capacity)
-    against log p. The bracket certifies the allocation once no user's
-    response differs by more than ``tol`` between its two ends, or once the
-    ends are adjacent floats and the price can be resolved no further.
+    The search first walks log p away from INIT_PRICE with doubling steps
+    until the clearing price is bracketed, staying within the positive
+    normal floats, then narrows the bracket by the Illinois variant of
+    regula falsi on log(demand/capacity) against log p.
+
+    The bracket stays valid without assuming that demand is monotone,
+    which the computed responses are only to a few ulps: each probe is
+    classified by its own demand, so ``lo`` always holds a probe that
+    over-demands and ``hi`` one that under-demands, and once both exist
+    every probe lies strictly between their prices. The bracket certifies
+    the allocation once no user's response differs by more than ``tol``
+    between its two ends, or once the ends are adjacent floats and the
+    price can be resolved no further.
     """
     lo = hi = None  # probes with demand above / below capacity
     g_lo = g_hi = 0.0  # log(demand / capacity) at lo and hi, Illinois-scaled
@@ -228,8 +234,8 @@ def dual_ascent(
             for fam, q1, q2, c in users
         )
         steps.append(TraceStep(len(steps) + 1, p, tuple(p * r for r in rates), rates))
-        # fsum is correctly rounded, so the sum of non-increasing responses
-        # stays non-increasing in p, whatever the order of the users.
+        # fsum is correctly rounded, so demand does not depend on the order
+        # of the users; the bracket needs no monotonicity (see _clear_market).
         return _End(p, rates, math.fsum(rates))
 
     price, rates, converged = _clear_market(

@@ -77,11 +77,13 @@ class SolverParams:
     """Knobs of the carrier solver.
 
     max_outer_iters: cap on the price probes of one carrier solve.
-    eps_r, tol_r, bisect_max_iters: floor, tolerance and step cap of the
-        inner bisection that gives a user's rate at a price. tol_r also
-        certifies the solve: it converges once no user's rate differs by
-        more than tol_r between the two ends of the price bracket.
-    rate_cap: upper bound handed to the inner bisection; None picks
+    eps_r: floor of a user's rate at a price; the closed-form response is
+        clipped to [eps_r, rate_cap].
+    tol_r: certifies the solve: it converges once no user's rate differs
+        by more than tol_r between the two ends of the price bracket.
+    bisect_max_iters: passed to the kernels, whose closed-form response
+        ignores it; it changes no result.
+    rate_cap: upper bound on a user's response; None picks
         2 * max(capacity, largest r_max among the solve's log utilities).
     delta, l1, l2: settle threshold on the max bid change, and amplitude
         and decay length of the bid clamp l1 * e^(-n/l2), of the paper's
@@ -110,7 +112,7 @@ class SolverParams:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if not self.delta > self.tol_r:
             raise ValueError(
-                f"delta ({self.delta}) must exceed the bisection tolerance "
+                f"delta ({self.delta}) must exceed the rate tolerance "
                 f"tol_r ({self.tol_r})"
             )
         if self.rate_cap is not None and not (

@@ -9,24 +9,29 @@ asymptotically by the sigmoid, at r_max by the log curve).
 The allocation solvers never consume U directly. They work with the
 log-marginal U'(r)/U(r), which is strictly decreasing on (0, inf), and with
 its inverse: for a posted price p, the rate maximizing
-``log U(r + c) - p*r`` is found by bisecting the log-marginal. All numeric
-work is delegated to the selected kernel backend.
+``log U(r + c) - p*r`` is where the log-marginal crosses p. Both families
+invert in closed form: the sigmoid's crossing solves a quadratic in the
+sigmoid value, and the log curve's is a Lambert-W value, refined by a few
+Newton steps to float64 resolution. All numeric work is delegated to the
+selected kernel backend.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from ._backend import kernels
 
 # Rate floor: log U diverges at r = 0, so every solver query stays at or
 # above this. Well below any rate scale used by the allocation protocol.
 EPS_RATE = 1e-9
-# Absolute bisection tolerance on rates; far below the protocol's
-# convergence threshold so inner-solve error never drives outer behavior.
+# Rate tolerance of the carrier solve: it converges once no user's rate
+# moves by more than this across its final price bracket. The closed-form
+# inverse accepts it and ignores it.
 TOL_RATE = 1e-9
+# Default of SolverParams.bisect_max_iters, which the closed-form inverse
+# accepts and ignores.
 BISECT_MAX_ITERS = 200
 
 
@@ -72,7 +77,9 @@ class Logarithmic:
             raise ValueError(f"logarithmic r_max must be > 0, got {self.r_max!r}")
 
 
-UtilityFunction = Union[Sigmoidal, Logarithmic]
+# A types.UnionType, not typing.Union: typing caches its unions process-wide,
+# which would keep every re-imported copy of these classes alive.
+UtilityFunction = Sigmoidal | Logarithmic
 
 
 def unpack(u: UtilityFunction) -> tuple[int, float, float]:
@@ -119,8 +126,9 @@ def inverse_log_marginal(
 ) -> float:
     """Rate in [eps_r, r_cap] where the log-marginal crosses ``price``.
 
-    Falls back to the cap when log_marginal(r_cap) > price (cap binds) and
-    to the floor when log_marginal(eps_r) < price.
+    Computed in closed form (see the module docstring); the crossing is
+    clipped to the cap when it lies above r_cap (cap binds) and to the floor
+    when it lies below eps_r. ``tol_r`` and ``max_iters`` are ignored.
     """
     if not (math.isfinite(price) and price > 0):
         raise ValueError(f"price must be finite and > 0, got {price!r}")

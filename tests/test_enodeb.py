@@ -151,6 +151,19 @@ class TestDualAscentMechanics:
         assert res.rates[1] < 200.0
         assert all(step.price >= sys.float_info.min for step in res.trace.steps)
 
+    def test_underflowed_sigmoids_clear_on_their_plateau_edge(self):
+        # a*b > 745 for both users, so their normalizers d underflow to zero
+        # and neither demands more than the floor at or above its plateau
+        # value a. Demand jumps across the capacity at the price a = 10 of
+        # user 2; the solve splits that jump. A search of the computed
+        # marginal instead gave both users rates near b - 745/a at every
+        # price (317 > 300), and the solve ran out of prices.
+        users = [(1, Sigmoidal(a=14.4, b=243.5)), (2, Sigmoidal(a=10.0, b=200.0))]
+        res = offered_price(users, 300.0)
+        assert res.converged
+        assert res.shadow_price == pytest.approx(10.0, rel=1e-12)
+        assert math.fsum(res.rates.values()) == pytest.approx(300.0, rel=1e-12)
+
     def test_rejects_empty_entries(self):
         with pytest.raises(ValueError):
             dual_ascent([], 10.0)

@@ -5,7 +5,11 @@ differences of log U for the marginals, and exhaustive grid scans of the
 net-benefit objective for the argmax operations.
 """
 
+import gc
+import importlib
 import math
+import sys
+import weakref
 
 import pytest
 
@@ -179,6 +183,19 @@ class TestInverseLogMarginal:
         assert gain(root) > gain(root * 0.5)
         assert gain(root) > gain(root * 2.0)
 
+    def test_sigmoid_with_underflowed_normalizer_lands_on_floor(self):
+        # a*b > 745, so d = e^(-ab)/(1 + e^(-ab)) is zero in float64 and the
+        # marginal is a*(1 - s) < a everywhere: above the plateau value a,
+        # no rate is worth its price. A search of the computed marginal
+        # instead stopped where s underflows, near b - 745/a = 191.75.
+        u = Sigmoidal(a=14.4, b=243.5)
+        assert inverse_log_marginal(u, 77.0, 1000.0) == EPS_RATE
+        assert net_benefit_maximizer(u, 77.0, 0.0, 1000.0) == EPS_RATE
+        # below a the crossing is on the plateau's upper edge
+        p = 10.0
+        expected = 243.5 + math.log((14.4 - p) / p) / 14.4
+        assert inverse_log_marginal(u, p, 1000.0) == pytest.approx(expected, rel=1e-12)
+
     def test_rejects_bad_price(self):
         u = Sigmoidal(a=5.0, b=10.0)
         with pytest.raises(ValueError):
@@ -227,3 +244,27 @@ class TestNetBenefitMaximizer:
     def test_rejects_negative_offset(self):
         with pytest.raises(ValueError):
             net_benefit_maximizer(Sigmoidal(a=5.0, b=10.0), 1.0, -0.5, 100.0)
+
+
+def test_reimport_releases_old_utility_classes():
+    # A benchmark re-imports the package after every pass; a process-wide
+    # cache holding the old classes (typing.Union's does) would keep every
+    # copy of the package alive.
+    def package_modules():
+        return {k: v for k, v in sys.modules.items()
+                if k.partition(".")[0] == "carrieralloc"}
+
+    saved = package_modules()
+    try:
+        for name in saved:
+            del sys.modules[name]
+        old = weakref.ref(importlib.import_module("carrieralloc").Sigmoidal)
+        for name in package_modules():
+            del sys.modules[name]
+        assert importlib.import_module("carrieralloc").Sigmoidal is not old()
+    finally:
+        for name in package_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    assert old() is None
