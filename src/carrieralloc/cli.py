@@ -3,6 +3,13 @@
 Exit codes: 0 success, 2 usage (argparse), 3 scenario/input errors,
 4 solver non-convergence or deadlock, 5 output I/O errors. All CSV output
 is deterministic: rerunning the same command produces identical bytes.
+
+Every CSV is in the excel dialect of the ``csv`` module: ints written with
+``str``, floats with ``repr``, and rows ended by ``\r\n``. The trace files,
+by far the bulk of a ``run`` report, are formatted directly rather than
+through ``csv.writer``; their cells are only ints and floats, which that
+dialect never quotes, so the bytes are the same as ``csv.writer`` would
+write.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import sys
 from pathlib import Path
 
 from . import model, protocol
+from .enodeb import ConvergenceTrace
 from .errors import ProtocolError, ScenarioError
 
 log = logging.getLogger(__name__)
@@ -139,25 +147,42 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _write_trace_csv(path: Path, trace: ConvergenceTrace) -> None:
+    """One trace as rows (iteration, price, user_id, w = price * r, r).
+
+    Writes the bytes ``_write_csv`` would, formatting each price and each
+    user id once and each step's rows in one write.
+    """
+    uid_cells = [f"{uid}," for uid in trace.user_ids]
+    with open(path, "w", newline="") as fh:
+        fh.write("iteration,price,user_id,w,r\r\n")
+        for step in trace.steps:
+            p = step.price
+            prefix = f"{step.iteration},{p!r},"
+            fh.write("".join([
+                f"{prefix}{uid}{p * r!r},{r!r}\r\n"
+                for uid, r in zip(uid_cells, step.rates)
+            ]))
+
+
 def _write_report_files(out: Path, scenario: model.Scenario,
                         report: protocol.AllocationReport) -> None:
     carrier_ids = sorted(scenario.carrier_ids())
-    user_ids = sorted(scenario.user_ids())
+    users = sorted(scenario.users, key=lambda u: u.id)
 
     _write_csv(
         out / "allocations.csv",
         ["user_id", "carrier_id", "rate", "offset_used"],
         [
-            [uid, cid, report.rates[cid][uid], report.offsets[cid][uid]]
-            for uid in user_ids
-            for cid in carrier_ids
-            if uid in report.rates.get(cid, {})
+            [u.id, cid, report.rates[cid][u.id], report.offsets[cid][u.id]]
+            for u in users
+            for cid in sorted(u.coverage)
         ],
     )
     _write_csv(
         out / "aggregates.csv",
         ["user_id", "r_agg"],
-        [[uid, report.aggregates[uid]] for uid in user_ids],
+        [[u.id, report.aggregates[u.id]] for u in users],
     )
     _write_csv(
         out / "prices.csv",
@@ -172,15 +197,7 @@ def _write_report_files(out: Path, scenario: model.Scenario,
             ("offered", report.offered_traces[cid]),
             ("allocation", report.allocation_traces[cid]),
         ):
-            _write_csv(
-                out / f"trace_{cid}_{phase}.csv",
-                ["iteration", "price", "user_id", "w", "r"],
-                [
-                    [step.iteration, step.price, uid, w, r]
-                    for step in trace.steps
-                    for uid, w, r in zip(trace.user_ids, step.bids, step.rates)
-                ],
-            )
+            _write_trace_csv(out / f"trace_{cid}_{phase}.csv", trace)
 
 
 def cmd_run(args) -> int:

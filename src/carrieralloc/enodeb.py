@@ -11,8 +11,9 @@ with its net-benefit-maximizing rate r_j(p) = max(0, x*_j(p) - c_j), where
 x*_j inverts the log-marginal and c_j is the offset, so demand
 D(p) = sum_j r_j(p) is non-increasing in p. The solve brackets the root of
 D(p) = capacity on log p and narrows the bracket until it certifies every
-user's rate (see ``dual_ascent``). Each probe is one trace step, holding
-the posted price, the bids p * r_j and the rates.
+user's rate (see ``dual_ascent``). Each probe is one trace step, which
+stores the posted price and the rates; the bids p * r_j are derived from
+them on demand rather than stored.
 
 The paper's own iteration stays in the kernels (``kernels.dual_ascent`` and
 ``fluctuation_clamp``), but the solve no longer calls it. That iteration
@@ -46,12 +47,19 @@ _T_MAX = math.log(_P_MAX)
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One root-find probe: posted price, bids p * r_j and rates r_j."""
+    """One root-find probe: posted price and rates r_j.
+
+    The bids p * r_j are not stored; ``bids`` computes them from the two.
+    """
 
     iteration: int
     price: float
-    bids: tuple[float, ...]
     rates: tuple[float, ...]
+
+    @property
+    def bids(self) -> tuple[float, ...]:
+        p = self.price
+        return tuple(p * r for r in self.rates)
 
 
 @dataclass(frozen=True)
@@ -233,7 +241,7 @@ def dual_ascent(
             kernels.net_benefit(fam, q1, q2, p, c, rate_cap, eps_r, tol_r, bisect_max)
             for fam, q1, q2, c in users
         )
-        steps.append(TraceStep(len(steps) + 1, p, tuple(p * r for r in rates), rates))
+        steps.append(TraceStep(len(steps) + 1, p, rates))
         # fsum is correctly rounded, so demand does not depend on the order
         # of the users; the bracket needs no monotonicity (see _clear_market).
         return _End(p, rates, math.fsum(rates))

@@ -48,6 +48,17 @@ class Scenario:
         object.__setattr__(self, "carriers", tuple(self.carriers))
         object.__setattr__(self, "users", tuple(self.users))
         _validate_scenario(self)
+        # Lookup indexes, set as plain attributes rather than fields so
+        # that ==, hash and repr see only the carriers and the users.
+        covered: dict[int, list[int]] = {c.id: [] for c in self.carriers}
+        for u in self.users:
+            for cid in u.coverage:
+                covered[cid].append(u.id)
+        object.__setattr__(self, "_carrier_index", {c.id: c for c in self.carriers})
+        object.__setattr__(self, "_user_index", {u.id: u for u in self.users})
+        object.__setattr__(
+            self, "_covered_index", {cid: tuple(ids) for cid, ids in covered.items()}
+        )
 
     def carrier_ids(self) -> tuple[int, ...]:
         return tuple(c.id for c in self.carriers)
@@ -56,20 +67,20 @@ class Scenario:
         return tuple(u.id for u in self.users)
 
     def carrier(self, carrier_id: int) -> CarrierSpec:
-        for c in self.carriers:
-            if c.id == carrier_id:
-                return c
-        raise KeyError(f"no carrier with id {carrier_id}")
+        try:
+            return self._carrier_index[carrier_id]
+        except KeyError:
+            raise KeyError(f"no carrier with id {carrier_id}") from None
 
     def user(self, user_id: int) -> UserSpec:
-        for u in self.users:
-            if u.id == user_id:
-                return u
-        raise KeyError(f"no user with id {user_id}")
+        try:
+            return self._user_index[user_id]
+        except KeyError:
+            raise KeyError(f"no user with id {user_id}") from None
 
     def covered_users(self, carrier_id: int) -> tuple[int, ...]:
         """Ids of the users in the carrier's coverage set, in listing order."""
-        return tuple(u.id for u in self.users if carrier_id in u.coverage)
+        return self._covered_index.get(carrier_id, ())
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,19 @@ import math
 
 import pytest
 
-from carrieralloc import cli, run, serialize_scenario, two_carrier_nine_user
+from carrieralloc import (
+    CarrierSpec,
+    ConvergenceTrace,
+    Logarithmic,
+    Scenario,
+    Sigmoidal,
+    TraceStep,
+    UserSpec,
+    cli,
+    run,
+    serialize_scenario,
+    two_carrier_nine_user,
+)
 
 
 def read_rows(path):
@@ -15,6 +27,35 @@ def read_rows(path):
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def reference_trace_bytes(path, trace):
+    """A trace CSV as ``csv.writer`` writes it, the way the CLI used to."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "price", "user_id", "w", "r"])
+        writer.writerows(
+            [step.iteration, step.price, uid, w, r]
+            for step in trace.steps
+            for uid, w, r in zip(trace.user_ids, step.bids, step.rates)
+        )
+    return path.read_bytes()
+
+
+# Three carriers, listed out of id order, and five users, listed out of id
+# order. Users 3, 105, 7 and 40 cover several carriers, so the later
+# carriers' allocation solves see non-zero offsets; user 105 lists its
+# carriers as (3, 1).
+THREE_CARRIERS = Scenario(
+    carriers=(CarrierSpec(3, 20.0), CarrierSpec(1, 30.0), CarrierSpec(2, 45.0)),
+    users=(
+        UserSpec(12, Sigmoidal(a=5.0, b=10.0), (1,)),
+        UserSpec(3, Logarithmic(k=3.0, r_max=100.0), (1, 2)),
+        UserSpec(105, Logarithmic(k=15.0, r_max=100.0), (3, 1)),
+        UserSpec(7, Logarithmic(k=0.5, r_max=100.0), (2, 3)),
+        UserSpec(40, Sigmoidal(a=3.0, b=20.0), (2, 3, 1)),
+    ),
+)
 
 
 class TestRunCommand:
@@ -118,6 +159,63 @@ class TestRunCommand:
         assert names == sorted(p.name for p in out2.iterdir())
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# Zero, the smallest subnormal, the smallest normal, floats that repr
+# writes in exponent and in positional form, and the largest float.
+EDGE_FLOATS = (0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 1e16,
+               1.7976931348623157e308)
+
+
+class TestTraceFiles:
+    @pytest.mark.parametrize("trace", [
+        # Every edge float is posted once as the price and thrice as a rate,
+        # so w = price * r also underflows to 0 and overflows to inf.
+        ConvergenceTrace(
+            user_ids=(7, 12, 1234),
+            steps=tuple(
+                TraceStep(n, p, tuple(EDGE_FLOATS[(k + j) % 7] for j in range(3)))
+                for k, (n, p) in enumerate(zip((1, 9, 10, 99, 100, 123, 1000),
+                                               EDGE_FLOATS))
+            ),
+        ),
+        ConvergenceTrace(user_ids=(98765,), steps=(TraceStep(1, 0.1, (5e-324,)),)),
+    ], ids=["edge-floats", "one-step-one-user"])
+    def test_formatter_writes_csv_writer_bytes(self, tmp_path, trace):
+        cli._write_trace_csv(tmp_path / "direct.csv", trace)
+        expected = reference_trace_bytes(tmp_path / "reference.csv", trace)
+        assert (tmp_path / "direct.csv").read_bytes() == expected
+
+    def test_run_trace_files_match_csv_writer(self, tmp_path, monkeypatch):
+        reports = []
+        solve = cli.protocol.run
+
+        def capture(scenario, params=None):
+            reports.append(solve(scenario, params))
+            return reports[-1]
+
+        monkeypatch.setattr(cli.protocol, "run", capture)
+        path = tmp_path / "scenario.json"
+        path.write_text(serialize_scenario(THREE_CARRIERS))
+        out = tmp_path / "out"
+        assert run_cli(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        (report,) = reports
+        assert any(c > 0 for offsets in report.offsets.values() for c in offsets.values())
+        for cid in (1, 2, 3):
+            for phase, trace in (("offered", report.offered_traces[cid]),
+                                 ("allocation", report.allocation_traces[cid])):
+                name = f"trace_{cid}_{phase}.csv"
+                expected = reference_trace_bytes(tmp_path / name, trace)
+                assert (out / name).read_bytes() == expected
+
+    def test_allocation_rows_in_id_order(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(serialize_scenario(THREE_CARRIERS))
+        out = tmp_path / "out"
+        assert run_cli(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        keys = [(int(r[0]), int(r[1])) for r in read_rows(out / "allocations.csv")[1:]]
+        covered = [(u.id, cid) for u in THREE_CARRIERS.users for cid in u.coverage]
+        assert keys == sorted(covered)
 
 
 class TestSweepCommand:

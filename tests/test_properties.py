@@ -1,18 +1,34 @@
-"""Property tests of the closed-form user response, with hypothesis.
+"""Property tests of the closed-form user response and the scenario model.
 
 The inverse log-marginal is checked against a bisection of an independent
 marginal (``roundtrip.reference_crossings``) over random utilities and prices
 from e^-708 to e^708, and for monotonicity in the price. The sigmoid
 parameters reach a*b past 745, where the normalizer d is subnormal or zero
-in float64. Examples are derandomized, so every run draws the same ones.
+in float64. A scenario's indexed lookups are checked against linear scans
+of its carriers and users, over random valid scenarios and the copies that
+``with_capacity``, ``dataclasses.replace`` and a JSON round trip make.
+Examples are derandomized, so every run draws the same ones.
 """
 
+import dataclasses
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carrieralloc import EPS_RATE, Logarithmic, Sigmoidal, inverse_log_marginal
+from carrieralloc import (
+    EPS_RATE,
+    CarrierSpec,
+    Logarithmic,
+    Scenario,
+    Sigmoidal,
+    UserSpec,
+    inverse_log_marginal,
+    parse_scenario,
+    serialize_scenario,
+    with_capacity,
+)
 from roundtrip import reference_crossings, round_trip_bound
 
 # The closed form is not exactly monotone: its rounding can raise a rate by
@@ -51,3 +67,81 @@ def test_demand_non_increasing_in_price(u, price, r_cap, rise):
     lo = inverse_log_marginal(u, price, r_cap)
     hi = inverse_log_marginal(u, higher, r_cap)
     assert hi <= lo + MONOTONE_ULPS * math.ulp(lo)
+
+
+@st.composite
+def scenarios(draw):
+    """A valid scenario, its carriers and users listed out of id order.
+
+    Coverage lists are drawn as permutations, so many are out of id order.
+    Each carrier that no user covers is appended to a random user's list.
+    """
+    ids = st.integers(1, 60)
+    carrier_ids = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    user_ids = draw(st.lists(ids, min_size=1, max_size=12, unique=True))
+    coverages = [
+        draw(st.permutations(carrier_ids).flatmap(
+            lambda p: st.integers(1, len(p)).map(lambda k: p[:k])))
+        for _ in user_ids
+    ]
+    for cid in carrier_ids:
+        if not any(cid in cov for cov in coverages):
+            i = draw(st.integers(0, len(coverages) - 1))
+            coverages[i] = coverages[i] + [cid]
+    capacities = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
+    return Scenario(
+        carriers=tuple(CarrierSpec(cid, draw(capacities)) for cid in carrier_ids),
+        users=tuple(
+            UserSpec(uid, draw(utilities), tuple(cov))
+            for uid, cov in zip(user_ids, coverages)
+        ),
+    )
+
+
+def assert_lookups_match_linear_scans(s):
+    for c in s.carriers:
+        assert s.carrier(c.id) is next(x for x in s.carriers if x.id == c.id)
+        assert s.covered_users(c.id) == tuple(
+            u.id for u in s.users if c.id in u.coverage
+        )
+    for u in s.users:
+        assert s.user(u.id) is next(x for x in s.users if x.id == u.id)
+    for unknown in (0, 61, -1):
+        with pytest.raises(KeyError):
+            s.carrier(unknown)
+        with pytest.raises(KeyError):
+            s.user(unknown)
+        assert s.covered_users(unknown) == ()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(s=scenarios())
+def test_scenario_lookups_equal_linear_scans(s):
+    assert_lookups_match_linear_scans(s)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(s=scenarios())
+def test_equal_scenarios_compare_and_hash_equal(s):
+    twin = Scenario(carriers=list(s.carriers), users=list(s.users))
+    assert twin == s
+    assert hash(twin) == hash(s)
+    assert repr(twin) == repr(s)
+    assert [f.name for f in dataclasses.fields(Scenario)] == ["carriers", "users"]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(s=scenarios(), data=st.data())
+def test_scenario_copies_keep_lookups_correct(s, data):
+    cid = data.draw(st.sampled_from(s.carrier_ids()))
+    resized = with_capacity(s, cid, 123.5)
+    assert resized.carrier(cid).capacity == 123.5
+    assert_lookups_match_linear_scans(resized)
+
+    reordered = dataclasses.replace(s, users=s.users[::-1], carriers=s.carriers[::-1])
+    assert_lookups_match_linear_scans(reordered)
+
+    round_trip = parse_scenario(serialize_scenario(s))
+    assert round_trip == s
+    assert hash(round_trip) == hash(s)
+    assert_lookups_match_linear_scans(round_trip)
