@@ -4,6 +4,12 @@ Exit codes: 0 success, 2 usage (argparse), 3 scenario/input errors,
 4 solver non-convergence or deadlock, 5 output I/O errors. All CSV output
 is deterministic: rerunning the same command produces identical bytes.
 
+Exact repeats of a carrier solve are reused, not solved again, and no
+output changes: in ``run`` and at each sweep point an allocation whose
+offsets are all zero reuses its discovery solve, and a ``sweep`` point
+reuses the previous point's solves wherever their inputs are equal, such
+as the discovery of every carrier it does not sweep.
+
 Every CSV is in the excel dialect of the ``csv`` module: ints written with
 ``str``, floats with ``repr``, and rows ended by ``\r\n``. The trace files,
 by far the bulk of a ``run`` report, are formatted directly rather than
@@ -222,20 +228,21 @@ def cmd_sweep(args) -> int:
     price_rows = []
     aggregate_rows = []
     failures = 0
-    for cap in capacities:
-        point = model.with_capacity(scenario, sweep_cid, cap)
-        try:
-            report = protocol.run(point, params)
-        except ProtocolError as e:
-            failures += 1
-            log.warning("sweep point %g failed: %s", cap, e)
-            price_rows.append([cap] + [""] * len(carrier_ids) + [str(e)])
-            continue
-        price_rows.append(
-            [cap] + [report.offered_prices[cid] for cid in carrier_ids] + ["ok"]
-        )
-        for uid in sorted(point.user_ids()):
-            aggregate_rows.append([cap, uid, report.aggregates[uid]])
+    with protocol._reuse_between_points():
+        for cap in capacities:
+            point = model.with_capacity(scenario, sweep_cid, cap)
+            try:
+                report = protocol.run(point, params)
+            except ProtocolError as e:
+                failures += 1
+                log.warning("sweep point %g failed: %s", cap, e)
+                price_rows.append([cap] + [""] * len(carrier_ids) + [str(e)])
+                continue
+            price_rows.append(
+                [cap] + [report.offered_prices[cid] for cid in carrier_ids] + ["ok"]
+            )
+            for uid in sorted(point.user_ids()):
+                aggregate_rows.append([cap, uid, report.aggregates[uid]])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -7,13 +7,25 @@ time; a carrier runs its allocation solve only in the round where all of
 its covered users flag it, distributing rates that become offsets for the
 users' next carriers. With one consistent price table the cheapest carrier
 always goes first and each carrier activates exactly once.
+
+A carrier solve reads only its capacity, the solver parameters and each
+covered user's (id, utility, offset) in listing order, and it is
+deterministic, so a solve whose inputs equal an earlier one's is not run
+again: its stored result is returned, and no output changes. Within one
+``run``, an allocation solve whose offsets are all zero is its own
+discovery solve. Across the points of one sweep, a solve equal to one of
+the previous point's is reused, such as the discovery of every carrier
+whose capacity the sweep does not touch. Separate ``run`` calls share
+nothing.
 """
 
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from . import ue
 from .enodeb import ConvergenceTrace, DualAscentResult, dual_ascent, offered_price
@@ -47,8 +59,67 @@ class AllocationReport:
         return sum(self.aggregates.values())
 
 
+class _Solves:
+    """Carrier solve results by their inputs: the current and the previous sweep point.
+
+    A key is everything a solve reads (see ``_solve_key``), so a stored
+    result is exactly what the solve would return again. A reused result is
+    the same object, not a copy; ``run`` copies the rates it reports.
+    """
+
+    def __init__(self) -> None:
+        self.current: dict[tuple, DualAscentResult] = {}
+        self.previous: dict[tuple, DualAscentResult] = {}
+
+    def next_point(self) -> None:
+        """Start a new sweep point; results from two points back are dropped."""
+        self.previous, self.current = self.current, {}
+
+    def solve(
+        self, key: tuple, solver: Callable[..., DualAscentResult], *args
+    ) -> DualAscentResult:
+        """``solver(*args)``, unless a solve with the same key is stored."""
+        res = self.current.get(key)
+        if res is None:
+            res = self.previous.get(key)
+            if res is None:
+                res = solver(*args)
+            self.current[key] = res
+        return res
+
+
+# The store that the sweep loop opens for its points; None outside a sweep.
+_sweep_solves: ContextVar[Union[_Solves, None]] = ContextVar(
+    "carrieralloc_sweep_solves", default=None
+)
+
+
+@contextmanager
+def _reuse_between_points() -> Iterator[None]:
+    """Scope of one sweep: each ``run`` inside it is one point, and may reuse
+    the previous point's solves. The store closes with the scope."""
+    token = _sweep_solves.set(_Solves())
+    try:
+        yield
+    finally:
+        _sweep_solves.reset(token)
+
+
+def _solve_key(entries: Iterable[tuple], capacity: float, params: SolverParams) -> tuple:
+    """Everything a carrier solve reads; equal keys give equal results.
+
+    Utilities compare by value. Within one scenario, and across the points
+    of a sweep, a user id always carries the same utility object.
+    """
+    return (
+        float(capacity),
+        params,
+        tuple((uid, u, float(c)) for uid, u, c in entries),
+    )
+
+
 def _discover_prices(
-    scenario: Scenario, params: SolverParams
+    scenario: Scenario, params: SolverParams, solves: _Solves
 ) -> dict[int, DualAscentResult]:
     results = {}
     for carrier in scenario.carriers:
@@ -56,7 +127,10 @@ def _discover_prices(
             (uid, scenario.user(uid).utility)
             for uid in scenario.covered_users(carrier.id)
         ]
-        res = offered_price(users, carrier.capacity, params)
+        key = _solve_key(
+            ((uid, u, 0.0) for uid, u in users), carrier.capacity, params
+        )
+        res = solves.solve(key, offered_price, users, carrier.capacity, params)
         if not res.converged:
             raise ConvergenceError(carrier.id, "price discovery", res.iterations)
         log.debug(
@@ -72,12 +146,20 @@ def _allocate(
     offered: Mapping[int, float],
     orders: Mapping[int, tuple[int, ...]],
     params: SolverParams,
+    solves: Union[_Solves, None] = None,
 ) -> tuple[dict[int, DualAscentResult], dict[int, dict[int, float]], dict[int, ue.UeState], tuple[int, ...]]:
     """Flag-driven allocation rounds over precomputed carrier orders.
 
     Split from ``run`` so the deadlock guard can be exercised directly with
     inconsistent orders, which consistent price tables never produce.
+
+    An allocation solve whose inputs equal a solve stored in ``solves``
+    (by default an empty store) returns that result, which is exactly what
+    solving again would return; a carrier whose users all carry zero
+    offsets thus reuses its discovery solve.
     """
+    if solves is None:
+        solves = _Solves()
     states = {
         uid: ue.UeState(user_id=uid, carrier_order=orders[uid])
         for uid in scenario.user_ids()
@@ -111,7 +193,8 @@ def _allocate(
                 (uid, scenario.user(uid).utility, states[uid].pending_offset)
                 for uid in scenario.covered_users(cid)
             ]
-            res = dual_ascent(entries, carrier.capacity, params)
+            key = _solve_key(entries, carrier.capacity, params)
+            res = solves.solve(key, dual_ascent, entries, carrier.capacity, params)
             if not res.converged:
                 raise ConvergenceError(cid, "allocation", res.iterations)
             log.debug(
@@ -129,18 +212,29 @@ def _allocate(
 
 
 def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> AllocationReport:
-    """Execute both protocol phases and assemble the full report."""
+    """Execute both protocol phases and assemble the full report.
+
+    Each distinct carrier problem is solved once: an allocation solve equal
+    to a discovery solve reuses it, and inside a sweep a solve equal to one
+    of the previous point's reuses that. The report is the same as with
+    every solve run afresh; separate calls share nothing.
+    """
     if params is None:
         params = SolverParams()
+    solves = _sweep_solves.get()
+    if solves is None:
+        solves = _Solves()
+    else:
+        solves.next_point()
 
-    discovery = _discover_prices(scenario, params)
+    discovery = _discover_prices(scenario, params, solves)
     offered = {cid: res.shadow_price for cid, res in discovery.items()}
     orders = {
         u.id: ue.order_carriers({cid: offered[cid] for cid in u.coverage})
         for u in scenario.users
     }
     results, offsets_used, states, processing_order = _allocate(
-        scenario, offered, orders, params
+        scenario, offered, orders, params, solves
     )
 
     return AllocationReport(
@@ -161,16 +255,22 @@ def sweep(
     capacities: Iterable[float],
     params: Union[SolverParams, None] = None,
 ) -> list[tuple[float, AllocationReport]]:
-    """Rerun the protocol for each capacity substituted into one carrier."""
+    """Rerun the protocol for each capacity substituted into one carrier.
+
+    Each point may reuse the previous point's solves where their inputs are
+    equal, such as the discovery solves of the other carriers; every report
+    equals ``run`` on that point alone.
+    """
     out = []
-    for cap in capacities:
-        if not cap > 0:
-            raise ValueError(f"capacities must be > 0, got {cap!r}")
-        try:
-            report = run(with_capacity(scenario, carrier_id, cap), params)
-        except ProtocolError as e:
-            raise ProtocolError(
-                f"sweep point capacity {cap} for carrier {carrier_id}: {e}"
-            ) from e
-        out.append((float(cap), report))
+    with _reuse_between_points():
+        for cap in capacities:
+            if not cap > 0:
+                raise ValueError(f"capacities must be > 0, got {cap!r}")
+            try:
+                report = run(with_capacity(scenario, carrier_id, cap), params)
+            except ProtocolError as e:
+                raise ProtocolError(
+                    f"sweep point capacity {cap} for carrier {carrier_id}: {e}"
+                ) from e
+            out.append((float(cap), report))
     return out

@@ -49,8 +49,11 @@ class UeState:
 
     @property
     def pending_offset(self) -> float:
-        """Offset the currently flagged carrier must apply: all rates so far."""
-        return sum(self.received_rates.values())
+        """Offset the currently flagged carrier must apply: all rates so far.
+
+        Always a float: 0.0, not the int 0, before the first rate.
+        """
+        return float(sum(self.received_rates.values()))
 
     @property
     def aggregated_rate(self) -> Optional[float]:

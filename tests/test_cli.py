@@ -260,6 +260,28 @@ class TestSweepCommand:
         for row in rows[1:]:
             assert "did not converge" in row[3]
 
+    def test_sweep_discovers_the_fixed_carrier_once(self, tmp_path, monkeypatch):
+        capacities = []
+        solve = cli.protocol.offered_price
+
+        def counting(users, capacity, params=None):
+            capacities.append(capacity)
+            return solve(users, capacity, params)
+
+        monkeypatch.setattr(cli.protocol, "offered_price", counting)
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--preset", "section5",
+                        "--sweep", "1=50:70:10", "--out", str(out)]) == 0
+        assert capacities == [50.0, 100.0, 60.0, 70.0]
+        assert cli.protocol._sweep_solves.get() is None
+
+    def test_scope_closes_after_failed_points(self, tmp_path, capsys):
+        code = run_cli(["sweep", "--preset", "section5",
+                        "--sweep", "1=50:60:10", "--max-iters", "2",
+                        "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_SOLVER
+        assert cli.protocol._sweep_solves.get() is None
+
     def test_unknown_sweep_carrier(self, tmp_path, capsys):
         code = run_cli(["sweep", "--preset", "section5",
                         "--sweep", "9=50:60:10", "--out", str(tmp_path / "o")])

@@ -14,10 +14,13 @@ from carrieralloc import (
     Sigmoidal,
     SolverParams,
     UserSpec,
+    protocol,
     run,
     sweep,
     two_carrier_nine_user,
+    with_capacity,
 )
+from carrieralloc.enodeb import dual_ascent, offered_price
 from carrieralloc.protocol import _allocate
 
 
@@ -111,6 +114,15 @@ class TestRun:
         assert err.value.phase == "price discovery"
 
 
+    @pytest.mark.parametrize("r1", [50.0, 200.0])
+    def test_offsets_are_floats(self, r1):
+        # zero offsets were once the int 0, which == 0.0 does not catch
+        report = run(two_carrier_nine_user(r1, 100.0))
+        values = [c for offsets in report.offsets.values() for c in offsets.values()]
+        assert 0.0 in values
+        assert all(type(c) is float for c in values)
+
+
 class TestDeadlockGuard:
     def test_inconsistent_orders_detected(self):
         # two joint users given opposite carrier orders: neither carrier
@@ -182,3 +194,107 @@ class TestThreeCarrierChain:
             assert report.offsets[1][uid] == pytest.approx(
                 report.rates[3][uid] + report.rates[2][uid]
             )
+
+
+# Four carriers on a ring; users 1-5 cover two or three neighbouring
+# carriers, so every carrier after the cheapest sees non-zero offsets.
+RING = Scenario(
+    carriers=(CarrierSpec(1, 30.0), CarrierSpec(2, 45.0),
+              CarrierSpec(3, 20.0), CarrierSpec(4, 60.0)),
+    users=(
+        UserSpec(1, Logarithmic(k=3.0, r_max=100.0), (1, 2)),
+        UserSpec(2, Sigmoidal(a=3.0, b=20.0), (2, 3)),
+        UserSpec(3, Logarithmic(k=0.5, r_max=100.0), (3, 4, 1)),
+        UserSpec(4, Sigmoidal(a=5.0, b=10.0), (4, 1)),
+        UserSpec(5, Logarithmic(k=15.0, r_max=100.0), (2, 3, 4)),
+        UserSpec(6, Sigmoidal(a=1.0, b=15.0), (4,)),
+        UserSpec(7, Logarithmic(k=7.0, r_max=100.0), (1,)),
+    ),
+)
+
+SECTION5_POINTS = [two_carrier_nine_user(r1, 100.0) for r1 in (50.0, 100.0, 130.0, 200.0)]
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Every carrier solve the protocol runs, as (phase, capacity), in order."""
+    calls = []
+
+    def counting(phase, solver):
+        def solve(entries, capacity, params=None):
+            calls.append((phase, capacity))
+            return solver(entries, capacity, params)
+        return solve
+
+    monkeypatch.setattr(protocol, "offered_price",
+                        counting("discovery", protocol.offered_price))
+    monkeypatch.setattr(protocol, "dual_ascent",
+                        counting("allocation", protocol.dual_ascent))
+    return calls
+
+
+class TestSolveReuse:
+    """Exact-repeat solves are reused, equal to a fresh solve, and only in scope."""
+
+    @pytest.mark.parametrize("scenario", SECTION5_POINTS + [RING])
+    def test_every_solve_equals_a_fresh_one(self, scenario, solve_calls):
+        report = run(scenario)
+        # the cheapest carrier's allocation was its discovery solve; every
+        # later carrier solved with offsets
+        assert len(solve_calls) < 2 * len(scenario.carriers)
+        for cid in report.processing_order[1:]:
+            assert any(c > 0.0 for c in report.offsets[cid].values())
+        for c in scenario.carriers:
+            users = [(uid, scenario.user(uid).utility)
+                     for uid in scenario.covered_users(c.id)]
+            found = offered_price(users, c.capacity)
+            assert found.shadow_price == report.offered_prices[c.id]
+            assert found.trace == report.offered_traces[c.id]
+            entries = [(uid, u, report.offsets[c.id][uid]) for uid, u in users]
+            fresh = dual_ascent(entries, c.capacity)
+            assert fresh.shadow_price == report.allocation_prices[c.id]
+            assert fresh.rates == report.rates[c.id]
+            assert fresh.trace == report.allocation_traces[c.id]
+
+    @pytest.mark.parametrize("scenario, carrier_id, capacities", [
+        (two_carrier_nine_user(), 1, [50.0, 100.0, 100.0, 130.0, 200.0, 50.0]),
+        (RING, 2, [45.0, 20.0, 90.0, 90.0, 45.0]),
+    ])
+    def test_sweep_points_equal_lone_runs(self, scenario, carrier_id, capacities):
+        points = sweep(scenario, carrier_id, capacities)
+        assert [cap for cap, _ in points] == capacities
+        for cap, report in points:
+            assert report == run(with_capacity(scenario, carrier_id, cap))
+
+    def test_back_to_back_runs_share_nothing(self, solve_calls):
+        scenario = two_carrier_nine_user(50.0, 100.0)
+        run(scenario)
+        first = list(solve_calls)
+        solve_calls.clear()
+        run(scenario)
+        assert solve_calls == first
+        assert [phase for phase, _ in first] == ["discovery", "discovery", "allocation"]
+
+    def test_sweep_reuses_only_the_previous_point(self, solve_calls):
+        sweep(two_carrier_nine_user(), 1, [60.0, 90.0, 60.0])
+        # carrier 2 is discovered once; the third point repeats the first,
+        # two points back, so carrier 1 is solved again in both phases
+        assert solve_calls == [
+            ("discovery", 60.0), ("discovery", 100.0), ("allocation", 60.0),
+            ("discovery", 90.0), ("allocation", 90.0),
+            ("discovery", 60.0), ("allocation", 60.0),
+        ]
+        assert protocol._sweep_solves.get() is None
+
+    def test_scope_closes_when_a_sweep_point_fails(self, solve_calls):
+        scenario = Scenario(
+            carriers=(CarrierSpec(id=7, capacity=5.0),),
+            users=(UserSpec(id=1, utility=Sigmoidal(a=5.0, b=10.0),
+                            coverage=(7,)),),
+        )
+        with pytest.raises(ProtocolError, match="capacity 200"):
+            sweep(scenario, 7, [5.0, 200.0])
+        assert protocol._sweep_solves.get() is None
+        solve_calls.clear()
+        run(scenario)
+        assert solve_calls == [("discovery", 5.0)]

@@ -53,6 +53,10 @@ class TestFlagWalk:
         record_rate(state, 2, 5.0, 0.1)
         assert state.pending_offset == 5.0
 
+    def test_offset_before_any_rate_is_float_zero(self):
+        offset = UeState(user_id=1, carrier_order=(2, 1)).pending_offset
+        assert offset == 0.0 and type(offset) is float
+
     def test_single_carrier_user(self):
         state = UeState(user_id=3, carrier_order=(1,))
         assert state.pending_offset == 0.0
