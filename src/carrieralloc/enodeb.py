@@ -11,9 +11,21 @@ with its net-benefit-maximizing rate r_j(p) = max(0, x*_j(p) - c_j), where
 x*_j inverts the log-marginal and c_j is the offset, so demand
 D(p) = sum_j r_j(p) is non-increasing in p. The solve brackets the root of
 D(p) = capacity on log p and narrows the bracket until it certifies every
-user's rate (see ``dual_ascent``). Each probe is one trace step, which
-stores the posted price and the rates; the bids p * r_j are derived from
-them on demand rather than stored.
+user's rate (see ``dual_ascent``). Each probe costs one closed-form response
+per user, so the narrowing spends as few probes as it can, by three rules:
+
+- Anderson-Bjorck regula falsi (Anderson & Bjorck 1973) on log(D/capacity)
+  against log p, rather than the Illinois rule's fixed halving of a stale
+  end (Dowell & Jarratt 1971);
+- a two-probe certificate: a probe that falls next to the end just
+  replaced is pushed just far enough past it that, if it lands across the
+  root, the two certify every rate;
+- plateau prices probed directly: a sigmoid user's response is
+  log-singular at p = a, where demand is close to a step, so a clearing
+  price near a is bracketed by probing a itself.
+
+Each probe is one trace step, which stores the posted price and the rates;
+the bids p * r_j are derived from them on demand rather than stored.
 
 The paper's own iteration stays in the kernels (``kernels.dual_ascent`` and
 ``fluctuation_clamp``), but the solve no longer calls it. That iteration
@@ -26,12 +38,13 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
 from ._backend import kernels
 from .model import SolverParams
-from .utility import Logarithmic, UtilityFunction, unpack
+from .utility import Logarithmic, Sigmoidal, UtilityFunction, unpack
 
 Entry = tuple[int, UtilityFunction, float]
 
@@ -119,14 +132,36 @@ class _End(NamedTuple):
 
 
 def _clear_market(
-    probe: Callable[[float], _End], capacity: float, max_probes: int, tol: float
+    probe: Callable[[float], _End],
+    capacity: float,
+    max_probes: int,
+    tol: float,
+    plateaus: Sequence[float] = (),
 ) -> tuple[float, tuple[float, ...], bool]:
     """Root-find the price at which demand meets capacity: (price, rates, converged).
 
     The search first walks log p away from INIT_PRICE with doubling steps
     until the clearing price is bracketed, staying within the positive
-    normal floats, then narrows the bracket by the Illinois variant of
-    regula falsi on log(demand/capacity) against log p.
+    normal floats, then narrows the bracket on g = log(demand/capacity)
+    against t = log p. Three rules choose each narrowing probe:
+
+    1. Anderson-Bjorck regula falsi. When the same end is replaced twice in
+       a row, the stale end's g is scaled by m = 1 - g_new/g_old (g_old the
+       replaced end's), or by 1/2 if m <= 0, before interpolating.
+    2. A two-probe certificate. With gap the largest rate difference across
+       the bracket, w = (t_hi - t_lo)/2 * tol/gap is roughly how far t can
+       move while every rate moves by tol/2. An interpolated probe within
+       w of the end just replaced moves to w past that end, toward the
+       other end, and at least to the next float: when the root lies that
+       close to the end, the probe lands across it and certifies the
+       bracket together with that end. A probe that rounded onto the end
+       would instead fall back to the midpoint, and every probe after it
+       would halve the distance to the root.
+    3. Plateau prices. ``plateaus`` is the sorted set of the sigmoid
+       users' steepness a, where their responses are log-singular in p and
+       demand is close to a step. While any of them lies strictly inside
+       the bracket, the next probe is the middle one of those (the lower
+       of the two middle ones for an even count).
 
     The bracket stays valid without assuming that demand is monotone,
     which the computed responses are only to a few ulps: each probe is
@@ -138,7 +173,7 @@ def _clear_market(
     price can be resolved no further.
     """
     lo = hi = None  # probes with demand above / below capacity
-    g_lo = g_hi = 0.0  # log(demand / capacity) at lo and hi, Illinois-scaled
+    g_lo = g_hi = 0.0  # log(demand / capacity) at lo and hi, Anderson-Bjorck-scaled
     last = None  # the end the previous probe replaced
     t, step = 0.0, 1.0  # log price of the next probe; bracket-search step
     p = INIT_PRICE
@@ -149,14 +184,14 @@ def _clear_market(
             return end.price, end.rates, True
         g = math.log(end.demand / capacity) if end.demand > 0.0 else -math.inf
         if end.demand > capacity:
-            lo, g_lo = end, g
             if last == "lo":
-                g_hi *= 0.5
+                g_hi *= _stale_scale(g, g_lo)
+            lo, g_lo = end, g
             last = "lo"
         else:
-            hi, g_hi = end, g
             if last == "hi":
-                g_lo *= 0.5
+                g_lo *= _stale_scale(g, g_hi)
+            hi, g_hi = end, g
             last = "hi"
         if hi is None or lo is None:
             if t in (_T_MIN, _T_MAX):
@@ -170,10 +205,20 @@ def _clear_market(
         if gap <= tol or math.nextafter(lo.price, math.inf) >= hi.price:
             converged = True
             break
+        i = bisect_right(plateaus, lo.price)
+        j = bisect_left(plateaus, hi.price)
+        if i < j:
+            p = plateaus[(i + j - 1) // 2]
+            continue
         t_lo, t_hi = math.log(lo.price), math.log(hi.price)
         t_mid = 0.5 * (t_lo + t_hi)
-        t = t_hi - g_hi * (t_hi - t_lo) / (g_hi - g_lo) if g_hi > -math.inf else t_mid
+        t = t_hi - g_hi * (t_hi - t_lo) / (g_hi - g_lo) if -math.inf < g_hi < g_lo else t_mid
+        w = 0.5 * (t_hi - t_lo) * tol / gap
         p = math.exp(t)
+        if last == "lo":
+            p = max(p, math.exp(t_lo + w), math.nextafter(lo.price, math.inf))
+        else:
+            p = min(p, math.exp(t_hi - w), math.nextafter(hi.price, 0.0))
         if not lo.price < p < hi.price:
             p = math.exp(t_mid)
             if not lo.price < p < hi.price:
@@ -194,6 +239,12 @@ def _clear_market(
     return end.price, tuple(b + theta * (a - b) for a, b in zip(lo.rates, hi.rates)), True
 
 
+def _stale_scale(g_new: float, g_old: float) -> float:
+    """Anderson-Bjorck factor for the stale end when g_old's end is replaced by g_new."""
+    m = 1.0 - g_new / g_old
+    return m if m > 0.0 else 0.5  # also when the ratio is undefined (nan)
+
+
 def dual_ascent(
     entries: Sequence[Entry],
     capacity: float,
@@ -206,6 +257,9 @@ def dual_ascent(
     price discovery). The price is root-found as the module docstring
     describes, with at most ``params.max_outer_iters`` probes;
     ``iterations`` counts the probes and the trace holds one step each.
+    The steepness a of every sigmoid user is passed on as a plateau price:
+    the solve probes those that fall inside its bracket before it
+    interpolates (see ``_clear_market``).
 
     ``converged`` is True only when the final price bracket certifies the
     rates: no user's response differs by more than ``params.tol_r`` between
@@ -246,8 +300,9 @@ def dual_ascent(
         # of the users; the bracket needs no monotonicity (see _clear_market).
         return _End(p, rates, math.fsum(rates))
 
+    plateaus = sorted({float(u.a) for _, u, _ in entries if isinstance(u, Sigmoidal)})
     price, rates, converged = _clear_market(
-        probe, capacity, params.max_outer_iters, tol_r
+        probe, capacity, params.max_outer_iters, tol_r, plateaus
     )
     return DualAscentResult(
         shadow_price=price,

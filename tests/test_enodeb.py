@@ -13,6 +13,8 @@ from carrieralloc import (
     fluctuation_clamp,
     log_marginal,
     offered_price,
+    sweep,
+    two_carrier_nine_user,
 )
 
 SECTION_USERS = [
@@ -182,6 +184,58 @@ class TestDualAscentMechanics:
         u = Logarithmic(k=15.0, r_max=100.0)
         with pytest.raises(ValueError, match="capacity"):
             dual_ascent([(1, u, 0.0)], 0.0)
+
+
+class TestProbeCounts:
+    """Solves that Illinois regula falsi stretched to one bit per probe."""
+
+    def test_lone_plateau_sigmoid_clears_in_few_probes(self):
+        # the clearing price sits within 1e-13 of the plateau price a = 3,
+        # where demand is close to a step; Illinois took 53 probes
+        res = offered_price([(1, Sigmoidal(3.0, 20.0))], 10.0)
+        assert res.converged
+        assert res.iterations <= 12
+
+    def test_underflowed_sigmoids_clear_in_few_probes(self):
+        # the instance of test_underflowed_sigmoids_clear_on_their_plateau_edge;
+        # Illinois took 64 probes
+        users = [(1, Sigmoidal(a=14.4, b=243.5)), (2, Sigmoidal(a=10.0, b=200.0))]
+        res = offered_price(users, 300.0)
+        assert res.converged
+        assert res.iterations <= 40
+
+    def test_end_beside_the_root_is_certified_by_the_next_probe(self):
+        # a probe over-demands by 8e-10 and the interpolated price beside
+        # it rounds onto it; falling back to the midpoint, each later probe
+        # halved the distance to it (34 probes with Illinois)
+        users = [(1, Logarithmic(k=5.74, r_max=100.0)), (2, Sigmoidal(a=1.97, b=18.5))]
+        res = offered_price(users, 10.0)
+        assert res.converged
+        assert res.iterations <= 20
+
+    def test_stale_end_loses_weight_fast(self):
+        # the probe at the plateau price a = 4.38 demands 0.2 of 10; halving
+        # the weight of that stale end once per probe, as Illinois does, the
+        # next ten probes all over-demanded and the solve took 23 probes even
+        # with the other two rules (31 with Illinois alone)
+        entries = [(1, Logarithmic(k=1.27, r_max=100.0), 0.0),
+                   (2, Sigmoidal(a=4.38, b=24.1), 12.9)]
+        res = dual_ascent(entries, 10.0)
+        assert res.converged
+        assert res.iterations <= 18
+
+    def test_section5_sweep_solves_take_few_probes(self):
+        # an end landing almost on the clearing demand left Illinois to
+        # halve the distance to it, up to 32 probes in one solve
+        points = sweep(two_carrier_nine_user(), 1, range(50, 201))
+        probes = [
+            len(trace)
+            for _, report in points
+            for traces in (report.offered_traces, report.allocation_traces)
+            for trace in traces.values()
+        ]
+        assert len(probes) == 151 * 4
+        assert max(probes) <= 20
 
 
 class TestOfferedPrice:

@@ -6,7 +6,9 @@ from e^-708 to e^708, and for monotonicity in the price. The sigmoid
 parameters reach a*b past 745, where the normalizer d is subnormal or zero
 in float64. A scenario's indexed lookups are checked against linear scans
 of its carriers and users, over random valid scenarios and the copies that
-``with_capacity``, ``dataclasses.replace`` and a JSON round trip make.
+``with_capacity``, ``dataclasses.replace`` and a JSON round trip make. A
+carrier solve that reports convergence is checked against its own trace:
+two of its probes bracket the capacity and certify the returned rates.
 Examples are derandomized, so every run draws the same ones.
 """
 
@@ -23,7 +25,9 @@ from carrieralloc import (
     Logarithmic,
     Scenario,
     Sigmoidal,
+    SolverParams,
     UserSpec,
+    dual_ascent,
     inverse_log_marginal,
     parse_scenario,
     serialize_scenario,
@@ -145,3 +149,41 @@ def test_scenario_copies_keep_lookups_correct(s, data):
     assert round_trip == s
     assert hash(round_trip) == hash(s)
     assert_lookups_match_linear_scans(round_trip)
+
+
+# Sigmoids with a*b > 75 put a plateau in demand: their response is
+# log-singular at the price a, and demand jumps across it within a few ulps.
+plateau_sigmoids = st.builds(
+    lambda a, ab: Sigmoidal(a=a, b=ab / a), a=log_uniform(-0.5, 1.5), ab=st.floats(75.0, 800.0)
+)
+solve_utilities = st.one_of(sigmoids, plateau_sigmoids, logs)
+offsets = st.one_of(st.just(0.0), log_uniform(-3.0, 2.0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    users=st.lists(st.tuples(solve_utilities, offsets), min_size=1, max_size=6),
+    capacity=log_uniform(-2.0, 3.0),
+)
+def test_converged_solve_is_certified_by_its_trace(users, capacity):
+    entries = [(uid, u, c) for uid, (u, c) in enumerate(users, 1)]
+    res = dual_ascent(entries, capacity)
+    if not res.converged:
+        return
+    tol = SolverParams().tol_r
+    steps = res.trace.steps
+    over = [s for s in steps if math.fsum(s.rates) > capacity]
+    under = [s for s in steps if math.fsum(s.rates) < capacity]
+    hit = [s for s in steps if s.price == res.shadow_price and math.fsum(s.rates) == capacity]
+    certificates = [
+        (lo, hi)
+        for lo in over
+        for hi in under
+        if res.shadow_price in (lo.price, hi.price)
+        and (
+            max(abs(a - b) for a, b in zip(lo.rates, hi.rates)) <= tol
+            or math.nextafter(lo.price, math.inf) == hi.price
+        )
+    ]
+    assert hit or certificates
+    assert math.fsum(res.rates.values()) == pytest.approx(capacity, rel=1e-12)
