@@ -4,11 +4,9 @@ Carriers discover shadow prices for their capacity by root-finding the
 price at which their coverage set's demand fills it; users order in-range
 carriers by price and collect rates one carrier at a time, with
 already-received rates entering the next carrier's solve as offsets. The
-hot numeric kernels run on a compiled extension when available, with a
-bit-identical pure-Python fallback.
+numeric kernels are plain Python, in ``_kernels_py``.
 """
 
-from ._backend import available_backends, backend_name
 from .enodeb import (
     ConvergenceTrace,
     DualAscentResult,
@@ -59,6 +57,13 @@ from .utility import (
 
 __version__ = "0.1.0"
 
+
+def backend_name() -> str:
+    """Always ``"python"``. Kept only because the benchmark writes it into
+    every result's environment; it goes when ``_kernels.c`` goes."""
+    return "python"
+
+
 __all__ = [
     "AllocationReport",
     "CarrierSpec",
@@ -81,7 +86,6 @@ __all__ = [
     "UeState",
     "UserSpec",
     "UtilityFunction",
-    "available_backends",
     "backend_name",
     "compare",
     "dual_ascent",

@@ -1,8 +1,8 @@
 """Numerical kernels: utility curves, marginal inversion, dual-ascent loop.
 
-Pure-Python fallback backend. ``carrieralloc._kernels`` is the compiled
-twin; the two must stay in sync operation for operation so that results are
-bit-identical regardless of which backend gets selected at import.
+The package's only run-time kernels. ``_kernels.c`` is a compiled twin, kept
+by hand for the benchmark's ``kernel.c.*`` metrics only; nothing imports it,
+and ``tests/test_backends.py`` checks that it stays bit-identical to this.
 
 Utility families are encoded as integers so the hot loops stay free of
 Python object dispatch: SIGMOIDAL carries (q1, q2) = (a, b), LOGARITHMIC

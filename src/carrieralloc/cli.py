@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -138,6 +139,9 @@ def _parse_sweep_spec(spec: str) -> tuple[int, list[float]]:
         raise ScenarioError(
             f"--sweep expects ID=START:STOP:STEP, got {spec!r}"
         ) from None
+    for field, value in (("START", start), ("STOP", stop), ("STEP", step)):
+        if not math.isfinite(value):
+            raise ScenarioError(f"sweep {field} must be finite, got {value}")
     if step <= 0:
         raise ScenarioError(f"sweep step must be > 0, got {step}")
     if start > stop:

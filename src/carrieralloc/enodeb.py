@@ -42,7 +42,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .model import SolverParams
 from .utility import Logarithmic, Sigmoidal, UtilityFunction, unpack
 

@@ -12,8 +12,8 @@ its inverse: for a posted price p, the rate maximizing
 ``log U(r + c) - p*r`` is where the log-marginal crosses p. Both families
 invert in closed form: the sigmoid's crossing solves a quadratic in the
 sigmoid value, and the log curve's is a Lambert-W value, refined by a few
-Newton steps to float64 resolution. All numeric work is delegated to the
-selected kernel backend.
+Newton steps to float64 resolution. ``_kernels_py`` does the numeric work,
+on each utility's family code and two parameters.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 
 # Rate floor: log U diverges at r = 0, so every solver query stays at or
 # above this. Well below any rate scale used by the allocation protocol.

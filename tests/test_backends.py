@@ -1,11 +1,12 @@
-"""Compiled and pure-Python kernels must agree bit for bit.
+"""The compiled twin ``_kernels.c`` must agree with ``_kernels_py`` bit for bit.
 
-The extension is built with FP contraction disabled and both twins call the
-same libm, so every float they produce is compared with ==, not approx.
-When no compiled extension is installed, the checked-in ``_kernels.c`` is
-compiled here with gcc and the flags ``setup.py`` passes, into a temporary
-directory, and loaded from there. The tests skip only when gcc or the
-Python headers are missing; a C file that does not compile fails them.
+The package runs only on ``carrieralloc._kernels_py``; the checked-in C twin
+is kept for the benchmark. Each run compiles it here with gcc and the flags
+``perfbench/ckernel.py`` uses (FP contraction disabled, so that both twins
+round alike on the same libm), into a temporary directory, and loads it from
+there. Every float they produce is compared with ==, not approx. The tests
+skip only when gcc or the Python headers are missing; a C file that does not
+compile fails them.
 """
 
 import importlib.util
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import carrieralloc
-from carrieralloc._backend import available_backends, load_backend
+from carrieralloc import _kernels_py
 
 CFLAGS = ["-O2", "-ffp-contract=off"]
 
@@ -27,8 +28,7 @@ def load_by_path(path):
     """Import the compiled twin from ``path`` without registering it.
 
     The module inserts itself into ``sys.modules`` while it initialises;
-    the entry is taken out again so that no later import of the package
-    picks the compiled backend up.
+    the entry is taken out again so that nothing else finds it there.
     """
     name = "carrieralloc._kernels"
     before = sys.modules.get(name)
@@ -46,15 +46,13 @@ def load_by_path(path):
 
 @pytest.fixture(scope="module")
 def compiled(tmp_path_factory):
-    if "c" in available_backends():
-        return load_backend("c")
     source = Path(carrieralloc.__file__).with_name("_kernels.c")
     include = sysconfig.get_paths()["include"]
     gcc = shutil.which("gcc")
     if gcc is None:
-        pytest.skip("compiled kernels not installed and gcc not found")
+        pytest.skip("gcc not found")
     if not (Path(include) / "Python.h").is_file():
-        pytest.skip(f"compiled kernels not installed and no Python.h in {include}")
+        pytest.skip(f"no Python.h in {include}")
     out_dir = tmp_path_factory.mktemp("kernels")
     out = out_dir / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
     proc = subprocess.run(
@@ -86,7 +84,7 @@ RATE_GRID = [1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0, 3.7, 9.99, 10.0, 25.0, 60.0,
 
 @pytest.fixture(scope="module")
 def both(compiled):
-    return compiled, load_backend("python")
+    return compiled, _kernels_py
 
 
 @pytest.mark.parametrize("family,q1,q2", SCALAR_CASES)

@@ -249,6 +249,22 @@ class TestSweepCommand:
         assert code == cli.EXIT_INPUT
         assert "must not exceed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,spec", [
+        (field, ":".join(value if i == pos else default
+                         for i, default in enumerate(("50", "200", "1"))))
+        for pos, field in enumerate(("START", "STOP", "STEP"))
+        for value in ("inf", "-inf", "nan")
+    ])
+    def test_non_finite_sweep_bounds_are_input_errors(self, tmp_path, capsys,
+                                                       field, spec):
+        code = run_cli(["sweep", "--preset", "section5",
+                        "--sweep", f"1={spec}", "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"sweep {field} must be finite" in err
+        assert not (tmp_path / "o").exists()
+
     def test_failed_points_recorded_with_status(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli(["sweep", "--preset", "section5",

@@ -9,11 +9,15 @@ of its carriers and users, over random valid scenarios and the copies that
 ``with_capacity``, ``dataclasses.replace`` and a JSON round trip make. A
 carrier solve that reports convergence is checked against its own trace:
 two of its probes bracket the capacity and certify the returned rates.
-Examples are derandomized, so every run draws the same ones.
+``run`` on random scenarios of up to 4 carriers gives the same report, bit
+for bit, whatever order their users and carriers are listed in, and fills
+every carrier's capacity. Examples are derandomized, so every run draws the
+same ones.
 """
 
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 from carrieralloc import (
     EPS_RATE,
     CarrierSpec,
+    ConvergenceError,
     Logarithmic,
     Scenario,
     Sigmoidal,
@@ -30,6 +35,7 @@ from carrieralloc import (
     dual_ascent,
     inverse_log_marginal,
     parse_scenario,
+    run,
     serialize_scenario,
     with_capacity,
 )
@@ -74,14 +80,14 @@ def test_demand_non_increasing_in_price(u, price, r_cap, rise):
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, max_carriers=6, capacities=st.floats(1e-3, 1e6), kinds=utilities):
     """A valid scenario, its carriers and users listed out of id order.
 
     Coverage lists are drawn as permutations, so many are out of id order.
     Each carrier that no user covers is appended to a random user's list.
     """
     ids = st.integers(1, 60)
-    carrier_ids = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    carrier_ids = draw(st.lists(ids, min_size=1, max_size=max_carriers, unique=True))
     user_ids = draw(st.lists(ids, min_size=1, max_size=12, unique=True))
     coverages = [
         draw(st.permutations(carrier_ids).flatmap(
@@ -92,11 +98,10 @@ def scenarios(draw):
         if not any(cid in cov for cov in coverages):
             i = draw(st.integers(0, len(coverages) - 1))
             coverages[i] = coverages[i] + [cid]
-    capacities = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
     return Scenario(
         carriers=tuple(CarrierSpec(cid, draw(capacities)) for cid in carrier_ids),
         users=tuple(
-            UserSpec(uid, draw(utilities), tuple(cov))
+            UserSpec(uid, draw(kinds), tuple(cov))
             for uid, cov in zip(user_ids, coverages)
         ),
     )
@@ -187,3 +192,59 @@ def test_converged_solve_is_certified_by_its_trace(users, capacity):
     ]
     assert hit or certificates
     assert math.fsum(res.rates.values()) == pytest.approx(capacity, rel=1e-12)
+
+
+# Protocol runs: up to 4 carriers, the three kinds of user above, and
+# capacities from 0.1 to 1000 in the rate units of the utilities.
+protocol_scenarios = scenarios(
+    max_carriers=4, capacities=log_uniform(-1.0, 3.0), kinds=solve_utilities
+)
+
+
+def run_or_error(scenario):
+    try:
+        return run(scenario)
+    except ConvergenceError as e:
+        return e
+
+
+# Carrier 1's lone sigmoid cannot fill 200 at any normal price.
+UNCLEARABLE = Scenario(
+    carriers=(CarrierSpec(1, 200.0), CarrierSpec(2, 50.0)),
+    users=(
+        UserSpec(1, Sigmoidal(5.0, 10.0), (1,)),
+        UserSpec(2, Logarithmic(3.0, 100.0), (2,)),
+        UserSpec(3, Sigmoidal(1.0, 30.0), (2,)),
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(s=protocol_scenarios, rnd=st.randoms(use_true_random=False))
+@example(s=UNCLEARABLE, rnd=random.Random(0))
+def test_run_does_not_depend_on_listing_order(s, rnd):
+    shuffled = Scenario(
+        carriers=tuple(rnd.sample(s.carriers, len(s.carriers))),
+        users=tuple(rnd.sample(s.users, len(s.users))),
+    )
+    report, again = run_or_error(s), run_or_error(shuffled)
+    if isinstance(report, ConvergenceError):
+        assert isinstance(again, ConvergenceError)
+        return
+    assert not isinstance(again, ConvergenceError)
+    assert again.offered_prices == report.offered_prices
+    assert again.allocation_prices == report.allocation_prices
+    assert again.rates == report.rates
+    assert again.offsets == report.offsets
+    assert again.aggregates == report.aggregates
+    assert again.processing_order == report.processing_order
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(s=protocol_scenarios)
+def test_run_fills_every_capacity(s):
+    report = run_or_error(s)
+    if isinstance(report, ConvergenceError):
+        return
+    for c in s.carriers:
+        assert math.fsum(report.rates[c.id].values()) == pytest.approx(c.capacity, rel=1e-12)
