@@ -7,6 +7,16 @@ and ``tests/test_backends.py`` checks that it stays bit-identical to this.
 Utility families are encoded as integers so the hot loops stay free of
 Python object dispatch: SIGMOIDAL carries (q1, q2) = (a, b), LOGARITHMIC
 carries (q1, q2) = (k, r_max).
+
+A user's best response has one implementation, split in two so that a
+caller posting many prices to the same users pays the per-user work once:
+``response_constants`` forms what depends on the utility alone (the
+sigmoid's d, a*d and 1 - d), and ``response`` inverts the log-marginal at
+one price from those. The carrier solve forms the constants once per solve
+and calls ``response`` once per user per probe, with r_cap + offset as its
+cap. ``inverse_log_marginal`` and ``net_benefit`` are thin wrappers that
+form the constants per call, so every path returns the same bits, which
+are also those of ``_kernels.c``.
 """
 
 from __future__ import annotations
@@ -124,12 +134,26 @@ def log_marginal(family, q1, q2, r):
     return q1 / den
 
 
-def inverse_log_marginal(family, q1, q2, price, r_cap, eps_r, tol_r, max_iters):
+def response_constants(family, q1, q2):
+    """The per-user constants ``response`` takes: (d, a*d, 1 - d), or zeros.
+
+    d = e^(-ab)/(1 + e^(-ab)) is the sigmoid's normalizer, formed as in
+    ``log_marginal``; the log family needs no constants.
+    """
+    if family == SIGMOIDAL:
+        e_ab = math.exp(-q1 * q2)
+        d = e_ab / (1.0 + e_ab)
+        return d, q1 * d, 1.0 - d
+    return 0.0, 0.0, 0.0
+
+
+def response(family, q1, q2, d, ad, omd, price, r_cap, eps_r):
     """Unique r in [eps_r, r_cap] with log_marginal(r) = price, in closed form.
 
-    Returns r_cap when the root lies above the cap (cap binds) or when
-    r_cap <= eps_r, and eps_r when it lies below the floor. ``tol_r`` and
-    ``max_iters`` are accepted for the signature's sake and ignored.
+    (d, ad, omd) are ``response_constants(family, q1, q2)``, so a caller
+    that posts many prices to one user computes them once. Returns r_cap
+    when the root lies above the cap (cap binds) or when r_cap <= eps_r,
+    and eps_r when it lies below the floor.
 
     Sigmoid: a*s*(1 - s) = price*(s - d) is a quadratic in s. With
     h = (a - price)/2 and root = sqrt(h^2 + a*d*price), s = (h + root)/a and
@@ -147,15 +171,13 @@ def inverse_log_marginal(family, q1, q2, price, r_cap, eps_r, tol_r, max_iters):
     if r_cap <= eps_r:
         return r_cap
     if family == SIGMOIDAL:
-        e_ab = math.exp(-q1 * q2)
-        d = e_ab / (1.0 + e_ab)
         h = 0.5 * (q1 - price)
         if abs(h) > _HUGE_H:
-            root = abs(h) * math.sqrt(1.0 + (q1 * d / h) * (price / h))
+            root = abs(h) * math.sqrt(1.0 + (ad / h) * (price / h))
         else:
-            root = math.sqrt(h * h + q1 * d * price)
+            root = math.sqrt(h * h + ad * price)
         big = 0.5 * (q1 + price) + root
-        oms = price * (1.0 - d) / big
+        oms = price * omd / big
         if h >= 0.0:
             s = (h + root) / q1
             if s <= 0.0:
@@ -209,12 +231,24 @@ def inverse_log_marginal(family, q1, q2, price, r_cap, eps_r, tol_r, max_iters):
     return r
 
 
+def inverse_log_marginal(family, q1, q2, price, r_cap, eps_r, tol_r, max_iters):
+    """``response`` with its constants formed for this one call.
+
+    ``tol_r`` and ``max_iters`` are accepted for the signature's sake and
+    ignored.
+    """
+    d, ad, omd = response_constants(family, q1, q2)
+    return response(family, q1, q2, d, ad, omd, price, r_cap, eps_r)
+
+
 def net_benefit(family, q1, q2, price, offset, r_cap, eps_r, tol_r, max_iters):
-    """argmax over r >= 0 of log U(r + offset) - price * r, capped at r_cap."""
-    x = inverse_log_marginal(
-        family, q1, q2, price, r_cap + offset, eps_r, tol_r, max_iters
-    )
-    v = x - offset
+    """argmax over r >= 0 of log U(r + offset) - price * r, capped at r_cap.
+
+    The response capped at r_cap + offset, less the offset, floored at zero.
+    ``tol_r`` and ``max_iters`` are ignored.
+    """
+    d, ad, omd = response_constants(family, q1, q2)
+    v = response(family, q1, q2, d, ad, omd, price, r_cap + offset, eps_r) - offset
     return v if v > 0.0 else 0.0
 
 

@@ -25,6 +25,7 @@ import csv
 import logging
 import math
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import model, protocol
@@ -129,7 +130,23 @@ def _load_scenario(args) -> model.Scenario:
     return scenario
 
 
-def _parse_sweep_spec(spec: str) -> tuple[int, list[float]]:
+class _SweepPoints(Sequence):
+    """The capacities START + i * STEP for i in range(count), formed on demand.
+
+    A sweep runs its first point without first building a list of them all.
+    """
+
+    def __init__(self, start: float, step: float, count: int):
+        self._start, self._step, self._indices = start, step, range(count)
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, i: int) -> float:
+        return self._start + self._indices[i] * self._step
+
+
+def _parse_sweep_spec(spec: str) -> tuple[int, _SweepPoints]:
     try:
         cid_text, range_text = spec.split("=", 1)
         start_text, stop_text, step_text = range_text.split(":")
@@ -146,8 +163,12 @@ def _parse_sweep_spec(spec: str) -> tuple[int, list[float]]:
         raise ScenarioError(f"sweep step must be > 0, got {step}")
     if start > stop:
         raise ScenarioError(f"sweep start {start} must not exceed stop {stop}")
-    count = int((stop - start) / step + 1e-9) + 1
-    return cid, [start + i * step for i in range(count)]
+    span = (stop - start) / step + 1e-9
+    if not math.isfinite(span):
+        raise ScenarioError(
+            f"sweep from {start} to {stop} in steps of {step} has too many points"
+        )
+    return cid, _SweepPoints(start, step, int(span) + 1)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -262,7 +283,7 @@ def cmd_sweep(args) -> int:
     )
     log.info("wrote sweep CSVs to %s", out)
     if failures:
-        print(f"{failures} of {len(capacities)} sweep points failed", file=sys.stderr)
+        print(f"{failures} of {len(price_rows)} sweep points failed", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 

@@ -12,7 +12,7 @@ x*_j inverts the log-marginal and c_j is the offset, so demand
 D(p) = sum_j r_j(p) is non-increasing in p. The solve brackets the root of
 D(p) = capacity on log p and narrows the bracket until it certifies every
 user's rate (see ``dual_ascent``). Each probe costs one closed-form response
-per user, so the narrowing spends as few probes as it can, by three rules:
+per user, so the narrowing spends as few probes as it can, by four rules:
 
 - Anderson-Bjorck regula falsi (Anderson & Bjorck 1973) on log(D/capacity)
   against log p, rather than the Illinois rule's fixed halving of a stale
@@ -22,7 +22,14 @@ per user, so the narrowing spends as few probes as it can, by three rules:
   root, the two certify every rate;
 - plateau prices probed directly: a sigmoid user's response is
   log-singular at p = a, where demand is close to a step, so a clearing
-  price near a is bracketed by probing a itself.
+  price near a is bracketed by probing a itself;
+- a plateau coordinate: once both ends of the bracket lie within 1% of a
+  plateau price a that the solve has probed, the response goes as
+  ln|p - a| there, which regula falsi in log p fits poorly, so the probes
+  are interpolated in x = ln|p - a| instead.
+
+The probe forms each user's response constants once per solve and calls
+the kernels' ``response`` once per user per probe.
 
 Each probe is one trace step, which stores the posted price and the rates;
 the bids p * r_j are derived from them on demand rather than stored.
@@ -40,11 +47,11 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from . import _kernels_py as kernels
 from .model import SolverParams
-from .utility import Logarithmic, Sigmoidal, UtilityFunction, unpack
+from .utility import Logarithmic, UtilityFunction, unpack
 
 Entry = tuple[int, UtilityFunction, float]
 
@@ -56,6 +63,9 @@ _P_MIN = sys.float_info.min
 _P_MAX = sys.float_info.max
 _T_MIN = math.log(_P_MIN)
 _T_MAX = math.log(_P_MAX)
+# Relative distance from a probed plateau price within which both bracket
+# ends must lie for the solve to narrow in ln|p - a| (see _clear_market).
+PLATEAU_BAND = 0.01
 
 
 @dataclass(frozen=True)
@@ -136,14 +146,14 @@ def _clear_market(
     capacity: float,
     max_probes: int,
     tol: float,
-    plateaus: Sequence[float] = (),
+    plateaus: Mapping[float, float],
 ) -> tuple[float, tuple[float, ...], bool]:
     """Root-find the price at which demand meets capacity: (price, rates, converged).
 
     The search first walks log p away from INIT_PRICE with doubling steps
     until the clearing price is bracketed, staying within the positive
     normal floats, then narrows the bracket on g = log(demand/capacity)
-    against t = log p. Three rules choose each narrowing probe:
+    against t = log p. Four rules choose each narrowing probe:
 
     1. Anderson-Bjorck regula falsi. When the same end is replaced twice in
        a row, the stale end's g is scaled by m = 1 - g_new/g_old (g_old the
@@ -157,11 +167,22 @@ def _clear_market(
        bracket together with that end. A probe that rounded onto the end
        would instead fall back to the midpoint, and every probe after it
        would halve the distance to the root.
-    3. Plateau prices. ``plateaus`` is the sorted set of the sigmoid
-       users' steepness a, where their responses are log-singular in p and
-       demand is close to a step. While any of them lies strictly inside
-       the bracket, the next probe is the middle one of those (the lower
-       of the two middle ones for an even count).
+    3. Plateau prices. ``plateaus`` maps each sigmoid user's steepness a,
+       where its response is log-singular in p and demand is close to a
+       step, to the width of the core around a where that response levels
+       off. While any plateau price lies strictly inside the bracket, the
+       next probe is the middle one of those (the lower of the two middle
+       ones for an even count).
+    4. A plateau coordinate. Once both ends of the bracket lie within
+       PLATEAU_BAND (1%) of a plateau price a that rule 3 has probed (the
+       one nearest the regula falsi estimate of rule 1, if several do),
+       the bracket lies on one side of a, and the next probe is chosen in
+       x = ln|p - a|, floored at the core, in which demand is nearly
+       linear: the secant through the last two probes if it lands inside
+       the bracket, else rule 1 in x, then rule 2's push and the midpoint
+       fallback in x (see ``_plateau_probe``). Where x cannot place a
+       probe inside the bracket, rules 1 and 2 choose it in t. Solves
+       that probe no plateau price never reach this rule.
 
     The bracket stays valid without assuming that demand is monotone,
     which the computed responses are only to a few ulps: each probe is
@@ -175,11 +196,14 @@ def _clear_market(
     lo = hi = None  # probes with demand above / below capacity
     g_lo = g_hi = 0.0  # log(demand / capacity) at lo and hi, Anderson-Bjorck-scaled
     last = None  # the end the previous probe replaced
+    end = None  # the latest probe
+    plateau_prices = sorted(plateaus)
+    probed = []  # plateau prices probed so far
     t, step = 0.0, 1.0  # log price of the next probe; bracket-search step
     p = INIT_PRICE
     converged = False
     for _ in range(max_probes):
-        end = probe(p)
+        previous, end = end, probe(p)
         if end.demand == capacity:
             return end.price, end.rates, True
         g = math.log(end.demand / capacity) if end.demand > 0.0 else -math.inf
@@ -205,14 +229,24 @@ def _clear_market(
         if gap <= tol or math.nextafter(lo.price, math.inf) >= hi.price:
             converged = True
             break
-        i = bisect_right(plateaus, lo.price)
-        j = bisect_left(plateaus, hi.price)
+        i = bisect_right(plateau_prices, lo.price)
+        j = bisect_left(plateau_prices, hi.price)
         if i < j:
-            p = plateaus[(i + j - 1) // 2]
+            p = plateau_prices[(i + j - 1) // 2]
+            probed.append(p)
             continue
         t_lo, t_hi = math.log(lo.price), math.log(hi.price)
         t_mid = 0.5 * (t_lo + t_hi)
         t = t_hi - g_hi * (t_hi - t_lo) / (g_hi - g_lo) if -math.inf < g_hi < g_lo else t_mid
+        if probed:
+            plateau = _beside_plateau(probed, lo.price, hi.price, math.exp(t))
+            if plateau is not None:
+                p = _plateau_probe(
+                    plateau, plateaus[plateau], lo, hi, g_lo, g_hi, last, previous,
+                    capacity, tol / gap,
+                )
+                if p is not None:
+                    continue
         w = 0.5 * (t_hi - t_lo) * tol / gap
         p = math.exp(t)
         if last == "lo":
@@ -239,6 +273,80 @@ def _clear_market(
     return end.price, tuple(b + theta * (a - b) for a, b in zip(lo.rates, hi.rates)), True
 
 
+def _beside_plateau(
+    probed: Sequence[float], p_lo: float, p_hi: float, estimate: float
+) -> Union[float, None]:
+    """The probed plateau price nearest ``estimate`` whose band holds the bracket.
+
+    A plateau price a's band is |p - a| <= a * PLATEAU_BAND; None when no
+    probed plateau's band holds both ends.
+    """
+    best = None
+    for a in probed:
+        band = PLATEAU_BAND * a
+        if abs(p_lo - a) <= band and abs(p_hi - a) <= band:
+            if best is None or abs(estimate - a) < abs(estimate - best):
+                best = a
+    return best
+
+
+def _plateau_probe(
+    a: float,
+    core: float,
+    lo: _End,
+    hi: _End,
+    g_lo: float,
+    g_hi: float,
+    last: str,
+    previous: _End,
+    capacity: float,
+    share: float,
+) -> Union[float, None]:
+    """Next probe for a bracket beside the plateau price a, chosen in x = ln|p - a|.
+
+    The bracket lies on one side of a: a was probed, so it is an end of the
+    bracket or lies outside it. There the plateau user's response goes as
+    ln|p - a|, and demand is nearly linear in x, down to the core of width
+    ``core`` around a where the response levels off (and at least down to
+    the next float beyond a); x is floored there. The step is the secant
+    on demand - capacity through the end just replaced and ``previous``,
+    the probe before it, when that lies on the bracket's side of a and the
+    secant lands inside the bracket; else the Anderson-Bjorck regula falsi
+    on the ends (g_lo, g_hi), in x. Then come the certificate push and the
+    midpoint fallback of ``_clear_market``, taken in x; ``share`` is
+    tol/gap. None when x cannot place a probe strictly inside the bracket,
+    so that the caller's rules in log p choose it.
+    """
+    side = 1.0 if lo.price >= a else -1.0
+    floor = max(core, abs(math.nextafter(a, side * math.inf) - a))
+
+    def x_of(price: float) -> float:
+        return math.log(max(abs(price - a), floor))
+
+    x_lo, x_hi = x_of(lo.price), x_of(hi.price)
+    if x_lo == x_hi:
+        return None  # both ends lie within the core
+    newer = lo if last == "lo" else hi
+    e0, e1 = previous.demand - capacity, newer.demand - capacity
+    u = math.nan  # the probe's place from x_lo (0) to x_hi (1)
+    if side * (previous.price - a) >= 0.0 and e0 != e1:
+        x0, x1 = x_of(previous.price), x_of(newer.price)
+        u = (x1 - e1 * (x1 - x0) / (e1 - e0) - x_lo) / (x_hi - x_lo)
+    if not 0.0 < u < 1.0:
+        u = g_lo / (g_lo - g_hi) if -math.inf < g_hi < g_lo else 0.5
+    if last == "lo":
+        u = max(u, 0.5 * share)
+        p = max(a + side * math.exp(x_lo + u * (x_hi - x_lo)),
+                math.nextafter(lo.price, math.inf))
+    else:
+        u = min(u, 1.0 - 0.5 * share)
+        p = min(a + side * math.exp(x_lo + u * (x_hi - x_lo)),
+                math.nextafter(hi.price, 0.0))
+    if not lo.price < p < hi.price:
+        p = a + side * math.exp(0.5 * (x_lo + x_hi))
+    return p if lo.price < p < hi.price else None
+
+
 def _stale_scale(g_new: float, g_old: float) -> float:
     """Anderson-Bjorck factor for the stale end when g_old's end is replaced by g_new."""
     m = 1.0 - g_new / g_old
@@ -257,9 +365,12 @@ def dual_ascent(
     price discovery). The price is root-found as the module docstring
     describes, with at most ``params.max_outer_iters`` probes;
     ``iterations`` counts the probes and the trace holds one step each.
-    The steepness a of every sigmoid user is passed on as a plateau price:
-    the solve probes those that fall inside its bracket before it
-    interpolates (see ``_clear_market``).
+    The steepness a of every sigmoid user is passed on as a plateau price,
+    with the core a*sqrt(d) around it (d the sigmoid's normalizer) within
+    which the user's response no longer goes as ln|p - a|: the solve
+    probes plateau prices that fall inside its bracket before it
+    interpolates, and narrows beside a probed one in ln|p - a| (see
+    ``_clear_market``).
 
     ``converged`` is True only when the final price bracket certifies the
     rates: no user's response differs by more than ``params.tol_r`` between
@@ -278,29 +389,39 @@ def dual_ascent(
     if len(set(user_ids)) != len(user_ids):
         raise ValueError(f"duplicate user ids in entries: {user_ids}")
 
+    capacity = float(capacity)
+    rate_cap = rate_cap_for(entries, capacity, params)
+    # Each user's response constants and cap, formed once for all probes,
+    # and each sigmoid's plateau price a with the core a*sqrt(d) around it
+    # within which its response no longer goes as ln|p - a|.
     users = []
+    plateaus: dict[float, float] = {}
     for uid, u, c in entries:
         fam, q1, q2 = unpack(u)
         if not (math.isfinite(c) and c >= 0):
             raise ValueError(f"user {uid}: offset must be >= 0, got {c!r}")
-        users.append((fam, q1, q2, float(c)))
+        c = float(c)
+        d, ad, omd = kernels.response_constants(fam, q1, q2)
+        users.append((fam, q1, q2, d, ad, omd, rate_cap + c, c))
+        if fam == kernels.SIGMOIDAL:
+            a = float(q1)
+            plateaus[a] = max(plateaus.get(a, 0.0), a * math.sqrt(d))
 
-    capacity = float(capacity)
-    rate_cap = rate_cap_for(entries, capacity, params)
-    eps_r, tol_r, bisect_max = params.eps_r, params.tol_r, params.bisect_max_iters
+    eps_r, tol_r = params.eps_r, params.tol_r
+    response = kernels.response
     steps: list[TraceStep] = []
 
     def probe(p: float) -> _End:
-        rates = tuple(
-            kernels.net_benefit(fam, q1, q2, p, c, rate_cap, eps_r, tol_r, bisect_max)
-            for fam, q1, q2, c in users
-        )
+        # the rates kernels.net_benefit gives, from one kernel call per user
+        rates = tuple([
+            v if (v := response(fam, q1, q2, d, ad, omd, p, x_cap, eps_r) - c) > 0.0 else 0.0
+            for fam, q1, q2, d, ad, omd, x_cap, c in users
+        ])
         steps.append(TraceStep(len(steps) + 1, p, rates))
         # fsum is correctly rounded, so demand does not depend on the order
         # of the users; the bracket needs no monotonicity (see _clear_market).
         return _End(p, rates, math.fsum(rates))
 
-    plateaus = sorted({float(u.a) for _, u, _ in entries if isinstance(u, Sigmoidal)})
     price, rates, converged = _clear_market(
         probe, capacity, params.max_outer_iters, tol_r, plateaus
     )

@@ -1,6 +1,7 @@
 """Command-line interface: files, schemas, exit codes, byte stability."""
 
 import csv
+import itertools
 import math
 
 import pytest
@@ -265,6 +266,32 @@ class TestSweepCommand:
         assert f"sweep {field} must be finite" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("spec", ["0:1e300:1e-10", "-1e308:1e308:1e-300"])
+    def test_overflowing_point_count_is_an_input_error(self, tmp_path, capsys, spec):
+        # finite fields whose point count (STOP - START)/STEP overflows to inf
+        code = run_cli(["sweep", "--preset", "section5",
+                        "--sweep", f"1={spec}", "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "too many points" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_first_point_runs_before_the_rest_are_formed(self, tmp_path, monkeypatch):
+        # 1e300 points: a sweep that listed them all first would never start
+        class FirstPoint(Exception):
+            pass
+
+        def first_point(scenario, params=None):
+            raise FirstPoint(scenario.carrier(1).capacity)
+
+        monkeypatch.setattr(cli.protocol, "run", first_point)
+        with pytest.raises(FirstPoint) as exc:
+            run_cli(["sweep", "--preset", "section5",
+                     "--sweep", "1=50:1e300:1", "--out", str(tmp_path / "o")])
+        assert exc.value.args == (50.0,)
+
     def test_failed_points_recorded_with_status(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli(["sweep", "--preset", "section5",
@@ -318,3 +345,11 @@ class TestParsing:
         assert values[0] == 50.0
         assert values[-1] == 200.0
         assert math.isclose(values[1] - values[0], 10.0)
+
+    def test_sweep_values_formed_on_demand(self):
+        _, values = cli._parse_sweep_spec("1=50:200:10")
+        assert list(values) == [values[i] for i in range(16)]
+        assert list(values) == [50.0 + i * 10.0 for i in range(16)]
+        _, values = cli._parse_sweep_spec("1=0:1e300:1")
+        assert list(itertools.islice(values, 3)) == [0.0, 1.0, 2.0]
+        assert values[-1] == 1e300

@@ -1,6 +1,7 @@
 """Dual-ascent solver: clamp mechanics, fixed points, and solve quality."""
 
 import math
+import random
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from carrieralloc import (
     dual_ascent,
     fluctuation_clamp,
     log_marginal,
+    net_benefit_maximizer,
     offered_price,
     sweep,
     two_carrier_nine_user,
@@ -223,6 +225,27 @@ class TestProbeCounts:
         res = dual_ascent(entries, 10.0)
         assert res.converged
         assert res.iterations <= 18
+
+    def test_clearing_price_beside_a_plateau_takes_few_probes(self):
+        # 60 users drawn from the wide-carriers workload's families and
+        # ranges, on the capacity that they demand 3e-12 below the plateau
+        # price a of the steepest sigmoid: the clearing price lies that close
+        # to a, where that user's response goes as ln(a - p), and regula
+        # falsi in log p took 22 probes, most of them just below a
+        rng = random.Random(0)
+        users = [
+            (uid, Sigmoidal(a=rng.uniform(1.0, 5.0), b=rng.uniform(10.0, 30.0))
+             if rng.random() < 0.5 else Logarithmic(k=rng.uniform(0.5, 15.0), r_max=100.0))
+            for uid in range(1, 61)
+        ]
+        steep = max((u for _, u in users if isinstance(u, Sigmoidal)), key=lambda u: u.a * u.b)
+        price = steep.a * (1.0 - 3e-12)
+        # 200 is the solve's own rate cap: twice the largest r_max
+        capacity = math.fsum(net_benefit_maximizer(u, price, 0.0, 200.0) for _, u in users)
+        res = offered_price(users, capacity)
+        assert res.converged
+        assert abs(res.shadow_price - steep.a) <= 1e-11 * steep.a
+        assert res.iterations <= 16
 
     def test_section5_sweep_solves_take_few_probes(self):
         # an end landing almost on the clearing demand left Illinois to

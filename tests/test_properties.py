@@ -11,13 +11,19 @@ carrier solve that reports convergence is checked against its own trace:
 two of its probes bracket the capacity and certify the returned rates.
 ``run`` on random scenarios of up to 4 carriers gives the same report, bit
 for bit, whatever order their users and carriers are listed in, and fills
-every carrier's capacity. Examples are derandomized, so every run draws the
-same ones.
+every carrier's capacity. The carrier solve's probe, which forms each
+user's response constants once per solve, gives the bits of the kernels'
+``net_benefit``, on the kernel alone near and far from a sigmoid's plateau
+price and on every probe of random solves. The offered price does not rise
+with the capacity, and no allocation prices above its carrier's discovery.
+Examples are derandomized, so every run draws the same ones.
 """
 
 import dataclasses
 import math
 import random
+import struct
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,11 +40,15 @@ from carrieralloc import (
     UserSpec,
     dual_ascent,
     inverse_log_marginal,
+    offered_price,
     parse_scenario,
+    rate_cap_for,
     run,
     serialize_scenario,
     with_capacity,
 )
+from carrieralloc import _kernels_py as kernels
+from carrieralloc.utility import unpack
 from roundtrip import reference_crossings, round_trip_bound
 
 # The closed form is not exactly monotone: its rounding can raise a rate by
@@ -248,3 +258,126 @@ def test_run_fills_every_capacity(s):
         return
     for c in s.carriers:
         assert math.fsum(report.rates[c.id].values()) == pytest.approx(c.capacity, rel=1e-12)
+
+
+# The carrier solve forms each user's response constants once and calls the
+# kernels' per-user core once per probe; ``net_benefit`` forms them per call.
+# Both must give the same bits. The utilities reach a*b past 745, where d
+# underflows to zero, and the prices include the plateau price a itself,
+# prices within ulps and within 1% of it on either side, and prices so far
+# above it that |h| = |a - p|/2 passes 1e150.
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def hoisted_net_benefit(u, price, offset, r_cap):
+    """The rate as the carrier solve's probe forms it."""
+    fam, q1, q2 = unpack(u)
+    d, ad, omd = kernels.response_constants(fam, q1, q2)
+    v = kernels.response(fam, q1, q2, d, ad, omd, price, r_cap + offset, EPS_RATE) - offset
+    return v if v > 0.0 else 0.0
+
+
+def assert_hoisted_bits(u, price, offset, r_cap):
+    want = kernels.net_benefit(*unpack(u), price, offset, r_cap, EPS_RATE, 1e-9, 200)
+    assert bits(hoisted_net_benefit(u, price, offset, r_cap)) == bits(want)
+
+
+deep_sigmoids = st.builds(
+    lambda a, ab: Sigmoidal(a=a, b=ab / a),
+    a=log_uniform(-1.0, 1.7), ab=st.floats(700.0, 5000.0),
+)
+# relative distances from 1e-16 to 1e-2, on either side
+nearby = st.tuples(st.sampled_from([-1.0, 1.0]), log_uniform(-16.0, -2.0))
+
+
+def prices_around(a):
+    return st.one_of(
+        st.just(a),
+        st.integers(-64, 64).map(lambda n: a + n * math.ulp(a)),
+        nearby.map(lambda sd: a * (1.0 + sd[0] * sd[1])),
+        log_uniform(1.0, 307.0).map(lambda f: a * f),
+        prices,
+    ).filter(lambda p: 0.0 < p < math.inf)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(
+    u=st.one_of(sigmoids, plateau_sigmoids, deep_sigmoids, logs),
+    offset=st.one_of(st.just(0.0), log_uniform(-3.0, 3.0)),
+    r_cap=st.one_of(caps, st.floats(1e-15, EPS_RATE)),
+    data=st.data(),
+)
+def test_hoisted_response_equals_net_benefit(u, offset, r_cap, data):
+    for price in data.draw(st.lists(prices_around(unpack(u)[1]), min_size=1, max_size=6)):
+        assert_hoisted_bits(u, price, offset, r_cap)
+
+
+@pytest.mark.parametrize("u", [
+    Sigmoidal(a=3.0, b=20.0),
+    Sigmoidal(a=5.0, b=148.0),  # a*b = 740: d is subnormal
+    Sigmoidal(a=14.4, b=243.5),  # a*b > 745: d underflows to zero
+    Logarithmic(k=3.0, r_max=100.0),
+])
+@pytest.mark.parametrize("offset", [0.0, 7.5])
+@pytest.mark.parametrize("r_cap", [200.0, EPS_RATE, 1e-12])
+def test_hoisted_response_equals_net_benefit_at_the_edges(u, offset, r_cap):
+    q1 = unpack(u)[1]
+    edges = [
+        q1, math.nextafter(q1, 0.0), math.nextafter(q1, math.inf),
+        q1 * (1.0 - 1e-12), q1 * (1.0 + 1e-12), q1 * 0.99, q1 * 1.01,
+        q1 * 1e3, 1e155, 1e300, sys.float_info.max, 1e-300, sys.float_info.min,
+    ]
+    for price in edges:
+        assert_hoisted_bits(u, price, offset, r_cap)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    users=st.lists(st.tuples(st.one_of(solve_utilities, deep_sigmoids), offsets),
+                   min_size=1, max_size=6),
+    capacity=log_uniform(-2.0, 3.0),
+    rate_cap=st.one_of(st.none(), st.floats(1e-12, EPS_RATE), log_uniform(0.0, 3.0)),
+)
+def test_probe_rates_equal_net_benefit(users, capacity, rate_cap):
+    # every probe of a solve, plateau prices included, gives each user the
+    # bits that net_benefit gives at the probe's price
+    entries = [(uid, u, c) for uid, (u, c) in enumerate(users, 1)]
+    params = SolverParams(rate_cap=rate_cap)
+    res = dual_ascent(entries, capacity, params)
+    cap = rate_cap_for(entries, capacity, params)
+    for step in res.trace.steps:
+        want = [
+            kernels.net_benefit(*unpack(u), step.price, c, cap, EPS_RATE, 1e-9, 200)
+            for _, u, c in entries
+        ]
+        assert [bits(r) for r in step.rates] == [bits(r) for r in want]
+
+
+# ROADMAP item 8: the offered price never rises with the capacity, and an
+# allocation, whose offsets only lower demand, never prices above its
+# carrier's discovery. A plateau step that certified the wrong side of the
+# root would break either. The users include plateau-prone sigmoids, so
+# that many solves narrow beside a plateau price.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    users=st.lists(solve_utilities, min_size=1, max_size=6),
+    capacity=log_uniform(-2.0, 3.0),
+    growth=log_uniform(-3.0, 1.0),
+)
+def test_offered_price_non_increasing_in_capacity(users, capacity, growth):
+    listed = list(enumerate(users, 1))
+    small = offered_price(listed, capacity)
+    large = offered_price(listed, capacity * (1.0 + growth))
+    if small.converged and large.converged:
+        assert large.shadow_price <= small.shadow_price
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(s=protocol_scenarios)
+def test_allocation_prices_at_most_discovery_prices(s):
+    report = run_or_error(s)
+    if isinstance(report, ConvergenceError):
+        return
+    for c in s.carriers:
+        assert report.allocation_prices[c.id] <= report.offered_prices[c.id]
