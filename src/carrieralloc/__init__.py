@@ -18,7 +18,6 @@ from .enodeb import (
 )
 from .errors import (
     ConvergenceError,
-    DeadlockError,
     OracleError,
     ProtocolError,
     ScenarioError,
@@ -71,7 +70,6 @@ __all__ = [
     "ComparisonResult",
     "ConvergenceError",
     "ConvergenceTrace",
-    "DeadlockError",
     "DualAscentResult",
     "EPS_RATE",
     "Logarithmic",

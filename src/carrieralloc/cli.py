@@ -1,8 +1,9 @@
 """Command-line front end: single allocations and capacity sweeps to CSV.
 
 Exit codes: 0 success, 2 usage (argparse), 3 scenario/input errors,
-4 solver non-convergence or deadlock, 5 output I/O errors. All CSV output
-is deterministic: rerunning the same command produces identical bytes.
+4 solver non-convergence or another protocol error, 5 output I/O errors.
+All CSV output is deterministic: rerunning the same command produces
+identical bytes.
 
 Exact repeats of a carrier solve are reused, not solved again, and no
 output changes: in ``run`` and at each sweep point an allocation whose

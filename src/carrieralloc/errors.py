@@ -27,17 +27,5 @@ class ConvergenceError(ProtocolError):
         )
 
 
-class DeadlockError(ProtocolError):
-    """No carrier is fully flagged while users still await allocations.
-
-    Cannot happen when every user orders carriers from one consistent price
-    table; kept as a defensive guard.
-    """
-
-    def __init__(self, flags: dict):
-        self.flags = dict(flags)
-        super().__init__(f"allocation stalled; current flags: {self.flags}")
-
-
 class OracleError(RuntimeError):
     """The centralized reference solver failed to meet its tolerance."""

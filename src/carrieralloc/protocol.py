@@ -3,10 +3,13 @@
 Phase 1: every carrier solves price discovery over its coverage set (zero
 offsets) and advertises the resulting shadow price. Phase 2: every user
 orders its in-range carriers by advertised price and flags them one at a
-time; a carrier runs its allocation solve only in the round where all of
-its covered users flag it, distributing rates that become offsets for the
-users' next carriers. With one consistent price table the cheapest carrier
-always goes first and each carrier activates exactly once.
+time; a carrier runs its allocation solve once all of its covered users
+flag it, distributing rates that become offsets for the users' next
+carriers. All users order from one price table, so phase 2 is one pass
+over the carriers, in the order that rounds of flags would serve them:
+by wave (how many carriers must be served before, along any user's
+order), then price, then id. ``ue.record_rate`` rejects a rate from any
+carrier but the one its user flags.
 
 A carrier solve reads only its capacity, the solver parameters and each
 covered user's (id, utility, offset) in listing order, and it is
@@ -25,11 +28,11 @@ import logging
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from . import ue
 from .enodeb import ConvergenceTrace, DualAscentResult, dual_ascent, offered_price
-from .errors import ConvergenceError, DeadlockError, ProtocolError
+from .errors import ConvergenceError, ProtocolError
 from .model import Scenario, SolverParams, with_capacity
 
 log = logging.getLogger(__name__)
@@ -141,76 +144,6 @@ def _discover_prices(
     return results
 
 
-def _allocate(
-    scenario: Scenario,
-    offered: Mapping[int, float],
-    orders: Mapping[int, tuple[int, ...]],
-    params: SolverParams,
-    solves: Union[_Solves, None] = None,
-) -> tuple[dict[int, DualAscentResult], dict[int, dict[int, float]], dict[int, ue.UeState], tuple[int, ...]]:
-    """Flag-driven allocation rounds over precomputed carrier orders.
-
-    Split from ``run`` so the deadlock guard can be exercised directly with
-    inconsistent orders, which consistent price tables never produce.
-
-    An allocation solve whose inputs equal a solve stored in ``solves``
-    (by default an empty store) returns that result, which is exactly what
-    solving again would return; a carrier whose users all carry zero
-    offsets thus reuses its discovery solve.
-    """
-    if solves is None:
-        solves = _Solves()
-    states = {
-        uid: ue.UeState(user_id=uid, carrier_order=orders[uid])
-        for uid in scenario.user_ids()
-    }
-    pending = set(scenario.carrier_ids())
-    results: dict[int, DualAscentResult] = {}
-    offsets_used: dict[int, dict[int, float]] = {}
-    processing_order: list[int] = []
-
-    max_rounds = len(scenario.carriers) + 1
-    rounds = 0
-    while any(not st.done for st in states.values()):
-        rounds += 1
-        flags = {
-            st.user_id: ue.next_flag(st) for st in states.values() if not st.done
-        }
-        if rounds > max_rounds:
-            raise DeadlockError(flags)
-        ready = [
-            cid
-            for cid in pending
-            if all(flags.get(uid) == cid for uid in scenario.covered_users(cid))
-        ]
-        if not ready:
-            raise DeadlockError(flags)
-        # Fully flagged carriers never share users (each user flags one
-        # carrier), so same-round activations are independent.
-        for cid in sorted(ready, key=lambda c: (offered[c], c)):
-            carrier = scenario.carrier(cid)
-            entries = [
-                (uid, scenario.user(uid).utility, states[uid].pending_offset)
-                for uid in scenario.covered_users(cid)
-            ]
-            key = _solve_key(entries, carrier.capacity, params)
-            res = solves.solve(key, dual_ascent, entries, carrier.capacity, params)
-            if not res.converged:
-                raise ConvergenceError(cid, "allocation", res.iterations)
-            log.debug(
-                "carrier %d: allocated at price %.6g after %d probes",
-                cid, res.shadow_price, res.iterations,
-            )
-            results[cid] = res
-            offsets_used[cid] = {uid: c for uid, _, c in entries}
-            processing_order.append(cid)
-            pending.discard(cid)
-            for uid in scenario.covered_users(cid):
-                ue.record_rate(states[uid], cid, res.rates[uid], res.shadow_price)
-
-    return results, offsets_used, states, tuple(processing_order)
-
-
 def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> AllocationReport:
     """Execute both protocol phases and assemble the full report.
 
@@ -229,13 +162,49 @@ def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> Allocat
 
     discovery = _discover_prices(scenario, params, solves)
     offered = {cid: res.shadow_price for cid, res in discovery.items()}
-    orders = {
-        u.id: ue.order_carriers({cid: offered[cid] for cid in u.coverage})
+    states = {
+        u.id: ue.UeState(
+            user_id=u.id,
+            carrier_order=ue.order_carriers({cid: offered[cid] for cid in u.coverage}),
+        )
         for u in scenario.users
     }
-    results, offsets_used, states, processing_order = _allocate(
-        scenario, offered, orders, params, solves
-    )
+
+    # A carrier can be served once each covered user has its rate from the
+    # carrier before it in that user's price order. Its wave is one more
+    # than the latest wave among those carriers, or 0 when there is none.
+    # Every user orders from the one price table, so walking all carriers
+    # in (price, id) order meets each user's carriers in its own order.
+    wave: dict[int, int] = {}
+    latest: dict[int, int] = {}  # user id -> wave of its last carrier so far
+    for cid in sorted(offered, key=lambda c: (offered[c], c)):
+        users = scenario.covered_users(cid)
+        wave[cid] = 1 + max(latest.get(uid, -1) for uid in users)
+        for uid in users:
+            latest[uid] = wave[cid]
+
+    results: dict[int, DualAscentResult] = {}
+    offsets_used: dict[int, dict[int, float]] = {}
+    processing_order = tuple(sorted(wave, key=lambda c: (wave[c], offered[c], c)))
+    for cid in processing_order:
+        users = scenario.covered_users(cid)
+        entries = [
+            (uid, scenario.user(uid).utility, states[uid].pending_offset)
+            for uid in users
+        ]
+        capacity = scenario.carrier(cid).capacity
+        key = _solve_key(entries, capacity, params)
+        res = solves.solve(key, dual_ascent, entries, capacity, params)
+        if not res.converged:
+            raise ConvergenceError(cid, "allocation", res.iterations)
+        log.debug(
+            "carrier %d: allocated at price %.6g after %d probes",
+            cid, res.shadow_price, res.iterations,
+        )
+        results[cid] = res
+        offsets_used[cid] = {uid: c for uid, _, c in entries}
+        for uid in users:
+            ue.record_rate(states[uid], cid, res.rates[uid])
 
     return AllocationReport(
         offered_prices=offered,

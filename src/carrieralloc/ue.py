@@ -35,7 +35,6 @@ class UeState:
     carrier_order: tuple[int, ...]
     position: int = 0
     received_rates: dict[int, float] = field(default_factory=dict)
-    received_prices: dict[int, float] = field(default_factory=dict)
 
     @property
     def done(self) -> bool:
@@ -66,14 +65,15 @@ class UeState:
 def next_flag(state: UeState) -> Optional[int]:
     """Carrier the user currently flags, or None when it is done.
 
-    A flag of zero toward every other in-range carrier is implicit: the
-    orchestrator treats a carrier as ready only when every covered user
-    flags it.
+    This is the user's side of the protocol: the one carrier it expects a
+    rate from next. The orchestrator does not poll it; it serves carriers
+    in an order in which each covered user flags the carrier served, and
+    ``record_rate`` checks that.
     """
     return state.next_carrier
 
 
-def record_rate(state: UeState, carrier_id: int, rate: float, shadow_price: float) -> None:
+def record_rate(state: UeState, carrier_id: int, rate: float) -> None:
     """Store an allocated rate from the flagged carrier and advance the cursor."""
     if state.done:
         raise ProtocolError(
@@ -89,5 +89,4 @@ def record_rate(state: UeState, carrier_id: int, rate: float, shadow_price: floa
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError(f"rate must be >= 0, got {rate!r}")
     state.received_rates[carrier_id] = float(rate)
-    state.received_prices[carrier_id] = float(shadow_price)
     state.position += 1

@@ -16,6 +16,9 @@ user's response constants once per solve, gives the bits of the kernels'
 ``net_benefit``, on the kernel alone near and far from a sigmoid's plateau
 price and on every probe of random solves. The offered price does not rise
 with the capacity, and no allocation prices above its carrier's discovery.
+The allocation pass serves the carriers in the order that rounds of flags
+would, and each user's offset at a carrier is the sum of the rates it got
+from the carriers before it in its price order.
 Examples are derandomized, so every run draws the same ones.
 """
 
@@ -90,18 +93,21 @@ def test_demand_non_increasing_in_price(u, price, r_cap, rise):
 
 
 @st.composite
-def scenarios(draw, max_carriers=6, capacities=st.floats(1e-3, 1e6), kinds=utilities):
+def scenarios(draw, max_carriers=6, capacities=st.floats(1e-3, 1e6), kinds=utilities,
+              max_coverage=None):
     """A valid scenario, its carriers and users listed out of id order.
 
-    Coverage lists are drawn as permutations, so many are out of id order.
-    Each carrier that no user covers is appended to a random user's list.
+    Coverage lists are drawn as permutations, so many are out of id order,
+    and are cut to at most ``max_coverage`` carriers (default: all). Each
+    carrier that no user covers is appended to a random user's list.
     """
     ids = st.integers(1, 60)
     carrier_ids = draw(st.lists(ids, min_size=1, max_size=max_carriers, unique=True))
     user_ids = draw(st.lists(ids, min_size=1, max_size=12, unique=True))
     coverages = [
         draw(st.permutations(carrier_ids).flatmap(
-            lambda p: st.integers(1, len(p)).map(lambda k: p[:k])))
+            lambda p: st.integers(1, min(len(p), max_coverage or len(p))).map(
+                lambda k: p[:k])))
         for _ in user_ids
     ]
     for cid in carrier_ids:
@@ -381,3 +387,48 @@ def test_allocation_prices_at_most_discovery_prices(s):
         return
     for c in s.carriers:
         assert report.allocation_prices[c.id] <= report.offered_prices[c.id]
+
+
+def flag_rounds_order(scenario, prices):
+    """The carrier order of the protocol's rounds of flags, found without solving.
+
+    Each user flags the first carrier of its price order not yet served. A
+    round serves, cheapest first, every carrier that all its covered users
+    flag at the start of the round.
+    """
+    orders = {
+        u.id: sorted(u.coverage, key=lambda c: (prices[c], c)) for u in scenario.users
+    }
+    served: list[int] = []
+    while len(served) < len(prices):
+        flags = {
+            uid: next((c for c in order if c not in served), None)
+            for uid, order in orders.items()
+        }
+        ready = [
+            c.id for c in scenario.carriers
+            if c.id not in served
+            and all(flags[u.id] == c.id for u in scenario.users if c.id in u.coverage)
+        ]
+        assert ready, "no carrier is flagged by all its users"
+        served += sorted(ready, key=lambda c: (prices[c], c))
+    return tuple(served)
+
+
+# Up to 8 carriers, each user covering at most 3 of them: sparse enough
+# that a later round often serves a cheaper carrier than an earlier one.
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(s=scenarios(max_carriers=8, capacities=log_uniform(-1.0, 3.0),
+                   kinds=solve_utilities, max_coverage=3))
+def test_one_pass_serves_carriers_in_the_order_of_the_flag_rounds(s):
+    report = run_or_error(s)
+    if isinstance(report, ConvergenceError):
+        return
+    prices = report.offered_prices
+    assert report.processing_order == flag_rounds_order(s, prices)
+    for u in s.users:
+        before: list[int] = []
+        for cid in sorted(u.coverage, key=lambda c: (prices[c], c)):
+            received = float(sum(report.rates[b][u.id] for b in before))
+            assert report.offsets[cid][u.id] == received
+            before.append(cid)

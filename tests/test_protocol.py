@@ -7,7 +7,6 @@ import pytest
 from carrieralloc import (
     CarrierSpec,
     ConvergenceError,
-    DeadlockError,
     Logarithmic,
     ProtocolError,
     Scenario,
@@ -21,7 +20,6 @@ from carrieralloc import (
     with_capacity,
 )
 from carrieralloc.enodeb import dual_ascent, offered_price
-from carrieralloc.protocol import _allocate
 
 
 def single_user_scenario():
@@ -121,26 +119,6 @@ class TestRun:
         values = [c for offsets in report.offsets.values() for c in offsets.values()]
         assert 0.0 in values
         assert all(type(c) is float for c in values)
-
-
-class TestDeadlockGuard:
-    def test_inconsistent_orders_detected(self):
-        # two joint users given opposite carrier orders: neither carrier
-        # can ever collect flags from its full coverage set
-        scenario = Scenario(
-            carriers=(CarrierSpec(id=1, capacity=50.0),
-                      CarrierSpec(id=2, capacity=50.0)),
-            users=(
-                UserSpec(id=1, utility=Logarithmic(k=3.0, r_max=100.0),
-                         coverage=(1, 2)),
-                UserSpec(id=2, utility=Logarithmic(k=3.0, r_max=100.0),
-                         coverage=(1, 2)),
-            ),
-        )
-        orders = {1: (1, 2), 2: (2, 1)}
-        with pytest.raises(DeadlockError) as err:
-            _allocate(scenario, {1: 0.1, 2: 0.2}, orders, SolverParams())
-        assert err.value.flags == {1: 1, 2: 2}
 
 
 class TestSweep:

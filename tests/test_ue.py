@@ -35,22 +35,22 @@ class TestFlagWalk:
 
     def test_advances_after_each_rate(self):
         state = UeState(user_id=4, carrier_order=(2, 1))
-        record_rate(state, 2, 5.0, 0.1)
+        record_rate(state, 2, 5.0)
         assert next_flag(state) == 1
-        record_rate(state, 1, 3.2, 0.2)
+        record_rate(state, 1, 3.2)
         assert next_flag(state) is None
         assert state.done
 
     def test_aggregate_is_sum_of_received(self):
         state = UeState(user_id=4, carrier_order=(2, 1))
-        record_rate(state, 2, 5.0, 0.1)
-        record_rate(state, 1, 3.2, 0.2)
+        record_rate(state, 2, 5.0)
+        record_rate(state, 1, 3.2)
         assert state.aggregated_rate == pytest.approx(8.2)
 
     def test_offset_accumulates_along_order(self):
         state = UeState(user_id=4, carrier_order=(2, 1))
         assert state.pending_offset == 0.0
-        record_rate(state, 2, 5.0, 0.1)
+        record_rate(state, 2, 5.0)
         assert state.pending_offset == 5.0
 
     def test_offset_before_any_rate_is_float_zero(self):
@@ -60,42 +60,36 @@ class TestFlagWalk:
     def test_single_carrier_user(self):
         state = UeState(user_id=3, carrier_order=(1,))
         assert state.pending_offset == 0.0
-        record_rate(state, 1, 12.0, 0.5)
+        record_rate(state, 1, 12.0)
         assert state.done
         assert state.aggregated_rate == 12.0
 
     def test_aggregate_undefined_until_done(self):
         state = UeState(user_id=4, carrier_order=(2, 1))
         assert state.aggregated_rate is None
-        record_rate(state, 2, 5.0, 0.1)
+        record_rate(state, 2, 5.0)
         assert state.aggregated_rate is None
 
     def test_offsets_nondecreasing_over_walk(self):
         state = UeState(user_id=9, carrier_order=(3, 1, 2))
         offsets = [state.pending_offset]
         for cid, rate in ((3, 2.0), (1, 0.0), (2, 4.0)):
-            record_rate(state, cid, rate, 1.0)
+            record_rate(state, cid, rate)
             offsets.append(state.pending_offset)
         assert offsets == sorted(offsets)
 
     def test_out_of_order_rate_rejected(self):
         state = UeState(user_id=4, carrier_order=(2, 1))
         with pytest.raises(ProtocolError, match="currently flags carrier 2"):
-            record_rate(state, 1, 3.0, 0.1)
+            record_rate(state, 1, 3.0)
 
     def test_rate_after_done_rejected(self):
         state = UeState(user_id=3, carrier_order=(1,))
-        record_rate(state, 1, 12.0, 0.5)
+        record_rate(state, 1, 12.0)
         with pytest.raises(ProtocolError, match="after completing"):
-            record_rate(state, 1, 1.0, 0.5)
+            record_rate(state, 1, 1.0)
 
     def test_negative_rate_rejected(self):
         state = UeState(user_id=3, carrier_order=(1,))
         with pytest.raises(ValueError):
-            record_rate(state, 1, -1.0, 0.5)
-
-    def test_records_shadow_prices(self):
-        state = UeState(user_id=4, carrier_order=(2, 1))
-        record_rate(state, 2, 5.0, 0.11)
-        record_rate(state, 1, 3.0, 0.22)
-        assert state.received_prices == {2: 0.11, 1: 0.22}
+            record_rate(state, 1, -1.0)
