@@ -13,10 +13,12 @@ caller posting many prices to the same users pays the per-user work once:
 ``response_constants`` forms what depends on the utility alone (the
 sigmoid's d, a*d and 1 - d), and ``response`` inverts the log-marginal at
 one price from those. The carrier solve forms the constants once per solve
-and calls ``response`` once per user per probe, with r_cap + offset as its
-cap. ``inverse_log_marginal`` and ``net_benefit`` are thin wrappers that
-form the constants per call, so every path returns the same bits, which
-are also those of ``_kernels.c``.
+and calls ``response`` with r_cap + offset as its cap, once per probe for
+each user whose rate the probe's price can still move: a user whose offset
+covers its response at that price is skipped (see ``enodeb``).
+``inverse_log_marginal`` and ``net_benefit`` are thin wrappers that form
+the constants per call, so every path returns the same bits, which are
+also those of ``_kernels.c``.
 """
 
 from __future__ import annotations

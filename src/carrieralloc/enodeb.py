@@ -11,8 +11,9 @@ with its net-benefit-maximizing rate r_j(p) = max(0, x*_j(p) - c_j), where
 x*_j inverts the log-marginal and c_j is the offset, so demand
 D(p) = sum_j r_j(p) is non-increasing in p. The solve brackets the root of
 D(p) = capacity on log p and narrows the bracket until it certifies every
-user's rate (see ``dual_ascent``). Each probe costs one closed-form response
-per user, so the narrowing spends as few probes as it can, by four rules:
+user's rate (see ``dual_ascent``). Each probe costs up to one closed-form
+response per user, so the narrowing spends as few probes as it can, by four
+rules:
 
 - Anderson-Bjorck regula falsi (Anderson & Bjorck 1973) on log(D/capacity)
   against log p, rather than the Illinois rule's fixed halving of a stale
@@ -29,7 +30,14 @@ per user, so the narrowing spends as few probes as it can, by four rules:
   are interpolated in x = ln|p - a| instead.
 
 The probe forms each user's response constants once per solve and calls
-the kernels' ``response`` once per user per probe.
+the kernels' ``response`` once per probe for each user that the price can
+still move. A user holding an offset c answers exactly 0 at every price
+above its zero price, where its response falls below c. In the allocation
+phase many users' offsets cover their demand at most of the prices probed,
+so a probe above a user's zero price writes its 0.0 without a kernel call.
+The zero price comes from the log-marginal at c and is confirmed by one
+response per solve, so the rates keep the bits that a call would give (see
+``_skip_from``).
 
 Each probe is one trace step, which stores the posted price and the rates;
 the bids p * r_j are derived from them on demand rather than stored.
@@ -44,6 +52,7 @@ wherever the bids are.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -66,6 +75,10 @@ _T_MAX = math.log(_P_MAX)
 # Relative distance from a probed plateau price within which both bracket
 # ends must lie for the solve to narrow in ln|p - a| (see _clear_market).
 PLATEAU_BAND = 0.01
+# Relative margin of a user's zero price above its log-marginal at its
+# offset, and again of the prices at which its probe is skipped above that
+# (see _skip_from).
+ZERO_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -225,7 +238,7 @@ def _clear_market(
             step *= 2.0
             p = _P_MIN if t == _T_MIN else _P_MAX if t == _T_MAX else math.exp(t)
             continue
-        gap = max(a - b for a, b in zip(lo.rates, hi.rates))
+        gap = max(map(operator.sub, lo.rates, hi.rates))
         if gap <= tol or math.nextafter(lo.price, math.inf) >= hi.price:
             converged = True
             break
@@ -353,6 +366,30 @@ def _stale_scale(g_new: float, g_old: float) -> float:
     return m if m > 0.0 else 0.5  # also when the ratio is undefined (nan)
 
 
+def _skip_from(
+    fam: int, q1: float, q2: float, d: float, ad: float, omd: float,
+    x_cap: float, c: float, eps_r: float,
+) -> float:
+    """Lowest price at which a probe may skip this user's response: inf if none.
+
+    A user whose offset c is positive has a zero price z, its log-marginal
+    at c raised by ZERO_MARGIN: above z the user's response x* falls below
+    c, and its rate max(0, x* - c) is exactly 0.0. The zero price is kept
+    only if the response at z confirms a rate of 0.0, since ``log_marginal``
+    can lose most of its digits (sigmoids with a*b from about 708 to 745)
+    and put z where the rate is still positive. The response is monotone
+    in the price only to a few ulps, so the skip starts ZERO_MARGIN above
+    z, where the response has fallen by far more than that.
+    """
+    if c > 0.0:
+        z = kernels.log_marginal(fam, q1, q2, c) * (1.0 + ZERO_MARGIN)
+        if 0.0 < z < math.inf and (
+            kernels.response(fam, q1, q2, d, ad, omd, z, x_cap, eps_r) <= c
+        ):
+            return z * (1.0 + ZERO_MARGIN)
+    return math.inf
+
+
 def dual_ascent(
     entries: Sequence[Entry],
     capacity: float,
@@ -371,6 +408,13 @@ def dual_ascent(
     probes plateau prices that fall inside its bracket before it
     interpolates, and narrows beside a probed one in ln|p - a| (see
     ``_clear_market``).
+
+    Each probe costs one kernel response per user that it can still move.
+    A user with a positive offset is skipped, its rate set to 0.0, at
+    probes above its zero price, past which its response stays below its
+    offset (see ``_skip_from``); finding the zero price costs one response
+    per such user and solve. The rates are the bits of
+    ``kernels.net_benefit`` either way.
 
     ``converged`` is True only when the final price bracket certifies the
     rates: no user's response differs by more than ``params.tol_r`` between
@@ -391,9 +435,11 @@ def dual_ascent(
 
     capacity = float(capacity)
     rate_cap = rate_cap_for(entries, capacity, params)
-    # Each user's response constants and cap, formed once for all probes,
-    # and each sigmoid's plateau price a with the core a*sqrt(d) around it
-    # within which its response no longer goes as ln|p - a|.
+    # Each user's response constants, cap and the price from which its
+    # response is skipped, formed once for all probes, and each sigmoid's
+    # plateau price a with the core a*sqrt(d) around it within which its
+    # response no longer goes as ln|p - a|.
+    eps_r, tol_r = params.eps_r, params.tol_r
     users = []
     plateaus: dict[float, float] = {}
     for uid, u, c in entries:
@@ -402,20 +448,24 @@ def dual_ascent(
             raise ValueError(f"user {uid}: offset must be >= 0, got {c!r}")
         c = float(c)
         d, ad, omd = kernels.response_constants(fam, q1, q2)
-        users.append((fam, q1, q2, d, ad, omd, rate_cap + c, c))
+        x_cap = rate_cap + c
+        skip_from = _skip_from(fam, q1, q2, d, ad, omd, x_cap, c, eps_r)
+        users.append((fam, q1, q2, d, ad, omd, x_cap, c, skip_from))
         if fam == kernels.SIGMOIDAL:
             a = float(q1)
             plateaus[a] = max(plateaus.get(a, 0.0), a * math.sqrt(d))
 
-    eps_r, tol_r = params.eps_r, params.tol_r
     response = kernels.response
     steps: list[TraceStep] = []
 
     def probe(p: float) -> _End:
-        # the rates kernels.net_benefit gives, from one kernel call per user
+        # the rates kernels.net_benefit gives, from one kernel call for each
+        # user that the price has not priced out
         rates = tuple([
-            v if (v := response(fam, q1, q2, d, ad, omd, p, x_cap, eps_r) - c) > 0.0 else 0.0
-            for fam, q1, q2, d, ad, omd, x_cap, c in users
+            0.0 if p >= skip_from
+            else v if (v := response(fam, q1, q2, d, ad, omd, p, x_cap, eps_r) - c) > 0.0
+            else 0.0
+            for fam, q1, q2, d, ad, omd, x_cap, c, skip_from in users
         ])
         steps.append(TraceStep(len(steps) + 1, p, rates))
         # fsum is correctly rounded, so demand does not depend on the order

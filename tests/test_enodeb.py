@@ -18,6 +18,7 @@ from carrieralloc import (
     sweep,
     two_carrier_nine_user,
 )
+from carrieralloc import _kernels_py as kernels
 
 SECTION_USERS = [
     (1, Sigmoidal(a=5.0, b=10.0)),
@@ -259,6 +260,25 @@ class TestProbeCounts:
         ]
         assert len(probes) == 151 * 4
         assert max(probes) <= 14
+
+
+class TestKernelCalls:
+    """Probes skip the users whose offsets already cover their demand."""
+
+    def test_covered_users_cost_one_call_per_solve(self, monkeypatch):
+        # 3 users without offsets clear the capacity near p = 0.03; the other
+        # 12 hold offsets that their responses fall below at every probed
+        # price, so after one confirming call each they cost no calls
+        calls = []
+        real = kernels.response
+        monkeypatch.setattr(kernels, "response", lambda *a: calls.append(a) or real(*a))
+        free = [(uid, Logarithmic(k=3.0, r_max=100.0), 0.0) for uid in (1, 2, 3)]
+        covered = [(uid, Logarithmic(k=0.5 + uid, r_max=100.0), 1e4) for uid in range(4, 10)]
+        covered += [(uid, Sigmoidal(a=1.0 + 0.5 * uid, b=20.0), 60.0) for uid in range(10, 16)]
+        res = dual_ascent(free + covered, 30.0)
+        assert res.converged
+        assert all(res.rates[uid] == 0.0 for uid, _, _ in covered)
+        assert len(calls) <= len(free) * res.iterations + len(covered)
 
 
 class TestOfferedPrice:

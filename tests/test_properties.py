@@ -14,7 +14,10 @@ for bit, whatever order their users and carriers are listed in, and fills
 every carrier's capacity. The carrier solve's probe, which forms each
 user's response constants once per solve, gives the bits of the kernels'
 ``net_benefit``, on the kernel alone near and far from a sigmoid's plateau
-price and on every probe of random solves. The offered price does not rise
+price and on every probe of random solves. So does a probe that skips a
+user past its zero price, where its offset covers its demand, on random
+solves whose zero prices lie near the clearing price, and no price the skip
+covers gives a nonzero rate. The offered price does not rise
 with the capacity, and no allocation prices above its carrier's discovery.
 The allocation pass serves the carriers in the order that rounds of flags
 would, and each user's offset at a carrier is the sum of the rates it got
@@ -43,6 +46,7 @@ from carrieralloc import (
     UserSpec,
     dual_ascent,
     inverse_log_marginal,
+    net_benefit_maximizer,
     offered_price,
     parse_scenario,
     rate_cap_for,
@@ -51,6 +55,7 @@ from carrieralloc import (
     with_capacity,
 )
 from carrieralloc import _kernels_py as kernels
+from carrieralloc.enodeb import _skip_from
 from carrieralloc.utility import unpack
 from roundtrip import reference_crossings, round_trip_bound
 
@@ -349,6 +354,10 @@ def test_probe_rates_equal_net_benefit(users, capacity, rate_cap):
     # every probe of a solve, plateau prices included, gives each user the
     # bits that net_benefit gives at the probe's price
     entries = [(uid, u, c) for uid, (u, c) in enumerate(users, 1)]
+    assert_probes_equal_net_benefit(entries, capacity, rate_cap)
+
+
+def assert_probes_equal_net_benefit(entries, capacity, rate_cap):
     params = SolverParams(rate_cap=rate_cap)
     res = dual_ascent(entries, capacity, params)
     cap = rate_cap_for(entries, capacity, params)
@@ -358,6 +367,87 @@ def test_probe_rates_equal_net_benefit(users, capacity, rate_cap):
             for _, u, c in entries
         ]
         assert [bits(r) for r in step.rates] == [bits(r) for r in want]
+
+
+# The solve skips an offset user's response at prices past its zero price,
+# read from log_marginal at the offset and confirmed by one response there.
+# log_marginal loses its digits for sigmoids with a*b from about 708 to 745,
+# so these are drawn too, beside plateau-prone sigmoids and log users.
+abyss_sigmoids = st.builds(
+    lambda a, ab: Sigmoidal(a=a, b=ab / a), a=log_uniform(-1.0, 1.7), ab=st.floats(700.0, 750.0)
+)
+zero_price_utilities = st.one_of(plateau_sigmoids, abyss_sigmoids, logs)
+
+
+@st.composite
+def offset_solves(draw):
+    """(entries, capacity, rate_cap) with zero prices near the clearing price.
+
+    Most users' offsets are their own zero-offset response at a price within
+    a factor of 10 of p0, which puts their zero prices there too, and the
+    capacity is the demand at p0 (drawn instead where nobody demands there),
+    so the solve's bracket closes in among the zero prices.
+    """
+    p0 = draw(log_uniform(-4.0, 6.0))
+    rate_cap = draw(st.one_of(st.none(), log_uniform(-15.0, 3.0)))
+    entries = []
+    for uid, u in enumerate(draw(st.lists(zero_price_utilities, min_size=1, max_size=6)), 1):
+        c = 0.0
+        if draw(st.integers(0, 3)):
+            c = inverse_log_marginal(u, p0 * draw(log_uniform(-1.0, 1.0)), 1e6)
+        entries.append((uid, u, c))
+    cap = 1e6 if rate_cap is None else rate_cap
+    demand = math.fsum(net_benefit_maximizer(u, p0, c, cap) for _, u, c in entries)
+    capacity = demand if demand > 0.0 else draw(log_uniform(-9.0, 3.0))
+    return entries, capacity, rate_cap
+
+
+def prices_from(start):
+    """The first prices a skip covers, and prices far above them."""
+    near = [start]
+    for _ in range(16):
+        near.append(math.nextafter(near[-1], math.inf))
+    far = [start * (1.0 + rise) for rise in (1e-9, 1e-6, 1e-3, 1.0, 1e3)]
+    return near + [p for p in far if p < math.inf]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(
+    u=st.one_of(sigmoids, zero_price_utilities),
+    offset=log_uniform(-7.0, 2.5),
+    r_cap=log_uniform(-15.0, 3.0),
+)
+# At this log user's log_marginal at the offset the rate is 0.0, and one
+# float higher it is positive again: the margins keep the skip clear of it.
+# The sigmoid's log_marginal has lost its digits (a*b = 730).
+@example(u=Logarithmic(2.6115180947585896, 100.0), offset=2.287476777298165, r_cap=1e3)
+@example(u=Sigmoidal(2.0009287417555317, 364.8246562740504), offset=1.91601921255434e-06,
+         r_cap=1e3)
+def test_no_rate_at_the_prices_a_probe_skips(u, offset, r_cap):
+    fam, q1, q2 = unpack(u)
+    d, ad, omd = kernels.response_constants(fam, q1, q2)
+    start = _skip_from(fam, q1, q2, d, ad, omd, r_cap + offset, offset, EPS_RATE)
+    if start == math.inf:
+        return
+    for price in prices_from(start):
+        rate = kernels.net_benefit(fam, q1, q2, price, offset, r_cap, EPS_RATE, 1e-9, 200)
+        assert bits(rate) == bits(0.0)
+
+
+# log_marginal puts this user's zero price at 472647.6, where its rate is
+# still 2.0e-07: only the confirming response keeps the solve from skipping
+# it on the probes from there up to its clearing price near 496018.
+LOST_DIGITS = ([(1, Sigmoidal(2.0009287417555317, 364.8246562740504), 1.91601921255434e-06)],
+               1e-7, None)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(solve=offset_solves())
+@example(solve=LOST_DIGITS)
+def test_skipped_responses_equal_net_benefit(solve):
+    # every probe gives each user the bits of net_benefit, whether the solve
+    # called the kernel for it or skipped it past its zero price
+    assert_probes_equal_net_benefit(*solve)
 
 
 # ROADMAP item 8: the offered price never rises with the capacity, and an
