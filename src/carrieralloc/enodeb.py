@@ -12,22 +12,18 @@ x*_j inverts the log-marginal and c_j is the offset, so demand
 D(p) = sum_j r_j(p) is non-increasing in p. The solve brackets the root of
 D(p) = capacity on log p and narrows the bracket until it certifies every
 user's rate (see ``dual_ascent``). Each probe costs up to one closed-form
-response per user, so the narrowing spends as few probes as it can, by four
-rules:
-
-- Anderson-Bjorck regula falsi (Anderson & Bjorck 1973) on log(D/capacity)
-  against log p, rather than the Illinois rule's fixed halving of a stale
-  end (Dowell & Jarratt 1971);
-- a two-probe certificate: a probe that falls next to the end just
-  replaced is pushed just far enough past it that, if it lands across the
-  root, the two certify every rate;
-- plateau prices probed directly: a sigmoid user's response is
-  log-singular at p = a, where demand is close to a step, so a clearing
-  price near a is bracketed by probing a itself;
-- a plateau coordinate: once both ends of the bracket lie within 1% of a
-  plateau price a that the solve has probed, the response goes as
-  ln|p - a| there, which regula falsi in log p fits poorly, so the probes
-  are interpolated in x = ln|p - a| instead.
+response per user, so the narrowing spends as few probes as it can. It
+probes plateau prices directly: a sigmoid user's response is log-singular
+at p = a, where demand is close to a step, so a clearing price near a is
+bracketed by probing a itself. Every other probe comes from one narrowing
+step (``_narrow``) in x = ln|p - a|: beside a plateau price a, where the
+response goes as ln|p - a| and log p fits it poorly, or else with a = 0,
+in log p. The step takes the secant through the last two probes (beside a
+plateau only) or Anderson-Bjorck regula falsi (Anderson & Bjorck 1973)
+rather than the Illinois rule's fixed halving of a stale end (Dowell &
+Jarratt 1971); pushes a probe that falls next to the end just replaced
+just far enough past it that, if it lands across the root, the two
+certify every rate; and falls back to the midpoint in x.
 
 The probe forms each user's response constants once per solve and calls
 the kernels' ``response`` once per probe for each user that the price can
@@ -72,8 +68,8 @@ _P_MIN = sys.float_info.min
 _P_MAX = sys.float_info.max
 _T_MIN = math.log(_P_MIN)
 _T_MAX = math.log(_P_MAX)
-# Relative distance from a probed plateau price within which both bracket
-# ends must lie for the solve to narrow in ln|p - a| (see _clear_market).
+# Relative distance from a plateau price within which both bracket ends
+# must lie for the solve to narrow in ln|p - a| (see _clear_market).
 PLATEAU_BAND = 0.01
 # Relative margin of a user's zero price above its log-marginal at its
 # offset, and again of the prices at which its probe is skipped above that
@@ -165,37 +161,26 @@ def _clear_market(
 
     The search first walks log p away from INIT_PRICE with doubling steps
     until the clearing price is bracketed, staying within the positive
-    normal floats, then narrows the bracket on g = log(demand/capacity)
-    against t = log p. Four rules choose each narrowing probe:
+    normal floats, then narrows the bracket on g = log(demand/capacity).
+    When the same end is replaced twice in a row, the stale end's g is
+    scaled by m = 1 - g_new/g_old (g_old the replaced end's), or by 1/2 if
+    m <= 0: the Anderson-Bjorck rule. Each narrowing probe is then chosen
+    in one of two ways:
 
-    1. Anderson-Bjorck regula falsi. When the same end is replaced twice in
-       a row, the stale end's g is scaled by m = 1 - g_new/g_old (g_old the
-       replaced end's), or by 1/2 if m <= 0, before interpolating.
-    2. A two-probe certificate. With gap the largest rate difference across
-       the bracket, w = (t_hi - t_lo)/2 * tol/gap is roughly how far t can
-       move while every rate moves by tol/2. An interpolated probe within
-       w of the end just replaced moves to w past that end, toward the
-       other end, and at least to the next float: when the root lies that
-       close to the end, the probe lands across it and certifies the
-       bracket together with that end. A probe that rounded onto the end
-       would instead fall back to the midpoint, and every probe after it
-       would halve the distance to the root.
-    3. Plateau prices. ``plateaus`` maps each sigmoid user's steepness a,
-       where its response is log-singular in p and demand is close to a
-       step, to the width of the core around a where that response levels
-       off. While any plateau price lies strictly inside the bracket, the
-       next probe is the middle one of those (the lower of the two middle
-       ones for an even count).
-    4. A plateau coordinate. Once both ends of the bracket lie within
-       PLATEAU_BAND (1%) of a plateau price a that rule 3 has probed (the
-       one nearest the regula falsi estimate of rule 1, if several do),
-       the bracket lies on one side of a, and the next probe is chosen in
-       x = ln|p - a|, floored at the core, in which demand is nearly
-       linear: the secant through the last two probes if it lands inside
-       the bracket, else rule 1 in x, then rule 2's push and the midpoint
-       fallback in x (see ``_plateau_probe``). Where x cannot place a
-       probe inside the bracket, rules 1 and 2 choose it in t. Solves
-       that probe no plateau price never reach this rule.
+    - Plateau prices. ``plateaus`` maps each sigmoid user's steepness a,
+      where its response is log-singular in p and demand is close to a
+      step, to the width of the core around a where that response levels
+      off. While any plateau price lies strictly inside the bracket, the
+      next probe is the middle one of those (the lower of the two middle
+      ones for an even count).
+    - One narrowing step, ``_narrow``. When both ends lie within
+      PLATEAU_BAND (1%) of a, the nearer of the plateau prices just below
+      and just above the bracket, the step is taken in x = ln|p - a|,
+      floored at the core, and may take the secant through the last two
+      probes. Where it cannot place a probe (both ends in the core), or
+      no plateau price is that near, the step is taken in x = ln p,
+      without the secant: a = 0. Failing both, the probe is the next
+      float above the low end.
 
     The bracket stays valid without assuming that demand is monotone,
     which the computed responses are only to a few ulps: each probe is
@@ -211,7 +196,6 @@ def _clear_market(
     last = None  # the end the previous probe replaced
     end = None  # the latest probe
     plateau_prices = sorted(plateaus)
-    probed = []  # plateau prices probed so far
     t, step = 0.0, 1.0  # log price of the next probe; bracket-search step
     p = INIT_PRICE
     converged = False
@@ -246,30 +230,21 @@ def _clear_market(
         j = bisect_left(plateau_prices, hi.price)
         if i < j:
             p = plateau_prices[(i + j - 1) // 2]
-            probed.append(p)
             continue
-        t_lo, t_hi = math.log(lo.price), math.log(hi.price)
-        t_mid = 0.5 * (t_lo + t_hi)
-        t = t_hi - g_hi * (t_hi - t_lo) / (g_hi - g_lo) if -math.inf < g_hi < g_lo else t_mid
-        if probed:
-            plateau = _beside_plateau(probed, lo.price, hi.price, math.exp(t))
-            if plateau is not None:
-                p = _plateau_probe(
-                    plateau, plateaus[plateau], lo, hi, g_lo, g_hi, last, previous,
-                    capacity, tol / gap,
-                )
-                if p is not None:
-                    continue
-        w = 0.5 * (t_hi - t_lo) * tol / gap
-        p = math.exp(t)
-        if last == "lo":
-            p = max(p, math.exp(t_lo + w), math.nextafter(lo.price, math.inf))
-        else:
-            p = min(p, math.exp(t_hi - w), math.nextafter(hi.price, 0.0))
-        if not lo.price < p < hi.price:
-            p = math.exp(t_mid)
-            if not lo.price < p < hi.price:
-                p = math.nextafter(lo.price, math.inf)
+        share = tol / gap
+        p = None
+        if plateau_prices:
+            # the nearer of the plateau prices just below and just above
+            below = plateau_prices[i - 1] if i > 0 else -math.inf
+            above = plateau_prices[j] if j < len(plateau_prices) else math.inf
+            a = below if lo.price - below <= above - hi.price else above
+            band = PLATEAU_BAND * a
+            if abs(lo.price - a) <= band and abs(hi.price - a) <= band:
+                p = _narrow(a, plateaus[a], lo, hi, g_lo, g_hi, last, previous, capacity, share)
+        if p is None:
+            p = _narrow(0.0, 0.0, lo, hi, g_lo, g_hi, last, None, capacity, share)
+        if p is None:
+            p = math.nextafter(lo.price, math.inf)
     if lo is None or hi is None:
         end = hi if lo is None else lo
         return end.price, end.rates, False
@@ -286,75 +261,64 @@ def _clear_market(
     return end.price, tuple(b + theta * (a - b) for a, b in zip(lo.rates, hi.rates)), True
 
 
-def _beside_plateau(
-    probed: Sequence[float], p_lo: float, p_hi: float, estimate: float
+def _narrow(
+    a: float, core: float, lo: _End, hi: _End, g_lo: float, g_hi: float,
+    last: str, previous: Union[_End, None], capacity: float, share: float,
 ) -> Union[float, None]:
-    """The probed plateau price nearest ``estimate`` whose band holds the bracket.
+    """Next narrowing probe, chosen in x = ln max(side * (p - a), floor).
 
-    A plateau price a's band is |p - a| <= a * PLATEAU_BAND; None when no
-    probed plateau's band holds both ends.
+    The bracket lies on one side of a (side +1 above, -1 below). The floor
+    is the core of width ``core`` around a, and at least the next float
+    beyond a; a = 0 with core 0 gives x = ln p. Beside a sigmoid's plateau
+    price a, its response goes as ln|p - a| down to the core where it
+    levels off, so demand is nearly linear in x. The probe is placed by:
+
+    1. The secant on demand - capacity through the end just replaced and
+       ``previous``, the probe before it, if one is given, lies on the
+       bracket's side of a, and the secant lands inside the bracket; else
+       the regula falsi on the ends' Anderson-Bjorck-scaled g_lo, g_hi.
+    2. A two-probe certificate. With gap the largest rate difference across
+       the bracket and ``share`` = tol/gap, a share w = share/2 of the
+       bracket's width in x is roughly how far x can move while every rate
+       moves by tol/2. A probe within w of the end just replaced moves to
+       w past that end, toward the other end, and at least to the next
+       float: when the root lies that close to the end, the probe lands
+       across it and certifies the bracket together with that end. A probe
+       that rounded onto the end would instead fall back to the midpoint,
+       and every probe after it would halve the distance to the root.
+    3. The midpoint in x, when the probe still misses the inside.
+
+    None when x cannot place a probe strictly inside the bracket.
     """
-    best = None
-    for a in probed:
-        band = PLATEAU_BAND * a
-        if abs(p_lo - a) <= band and abs(p_hi - a) <= band:
-            if best is None or abs(estimate - a) < abs(estimate - best):
-                best = a
-    return best
-
-
-def _plateau_probe(
-    a: float,
-    core: float,
-    lo: _End,
-    hi: _End,
-    g_lo: float,
-    g_hi: float,
-    last: str,
-    previous: _End,
-    capacity: float,
-    share: float,
-) -> Union[float, None]:
-    """Next probe for a bracket beside the plateau price a, chosen in x = ln|p - a|.
-
-    The bracket lies on one side of a: a was probed, so it is an end of the
-    bracket or lies outside it. There the plateau user's response goes as
-    ln|p - a|, and demand is nearly linear in x, down to the core of width
-    ``core`` around a where the response levels off (and at least down to
-    the next float beyond a); x is floored there. The step is the secant
-    on demand - capacity through the end just replaced and ``previous``,
-    the probe before it, when that lies on the bracket's side of a and the
-    secant lands inside the bracket; else the Anderson-Bjorck regula falsi
-    on the ends (g_lo, g_hi), in x. Then come the certificate push and the
-    midpoint fallback of ``_clear_market``, taken in x; ``share`` is
-    tol/gap. None when x cannot place a probe strictly inside the bracket,
-    so that the caller's rules in log p choose it.
-    """
+    # conditional expressions, not max and min: those builtin calls would
+    # cost more than the rest of a step, which runs once per probe
     side = 1.0 if lo.price >= a else -1.0
-    floor = max(core, abs(math.nextafter(a, side * math.inf) - a))
-
-    def x_of(price: float) -> float:
-        return math.log(max(abs(price - a), floor))
-
-    x_lo, x_hi = x_of(lo.price), x_of(hi.price)
+    floor = abs(math.nextafter(a, side * math.inf) - a)
+    floor = core if core > floor else floor
+    h_lo, h_hi = side * (lo.price - a), side * (hi.price - a)
+    x_lo = math.log(h_lo if h_lo > floor else floor)
+    x_hi = math.log(h_hi if h_hi > floor else floor)
     if x_lo == x_hi:
         return None  # both ends lie within the core
-    newer = lo if last == "lo" else hi
-    e0, e1 = previous.demand - capacity, newer.demand - capacity
-    u = math.nan  # the probe's place from x_lo (0) to x_hi (1)
-    if side * (previous.price - a) >= 0.0 and e0 != e1:
-        x0, x1 = x_of(previous.price), x_of(newer.price)
-        u = (x1 - e1 * (x1 - x0) / (e1 - e0) - x_lo) / (x_hi - x_lo)
-    if not 0.0 < u < 1.0:
-        u = g_lo / (g_lo - g_hi) if -math.inf < g_hi < g_lo else 0.5
+    # the probe's place from x_lo (0) to x_hi (1)
+    u = g_lo / (g_lo - g_hi) if -math.inf < g_hi < g_lo else 0.5
+    if previous is not None and (h0 := side * (previous.price - a)) >= 0.0:
+        x1, d1 = (x_lo, lo.demand) if last == "lo" else (x_hi, hi.demand)
+        e0, e1 = previous.demand - capacity, d1 - capacity
+        if e0 != e1:
+            x0 = math.log(h0 if h0 > floor else floor)
+            secant = (x1 - e1 * (x1 - x0) / (e1 - e0) - x_lo) / (x_hi - x_lo)
+            if 0.0 < secant < 1.0:
+                u = secant
+    w = 0.5 * share
     if last == "lo":
-        u = max(u, 0.5 * share)
-        p = max(a + side * math.exp(x_lo + u * (x_hi - x_lo)),
-                math.nextafter(lo.price, math.inf))
+        p = a + side * math.exp(x_lo + (u if u > w else w) * (x_hi - x_lo))
+        nearest = math.nextafter(lo.price, math.inf)
+        p = p if p > nearest else nearest
     else:
-        u = min(u, 1.0 - 0.5 * share)
-        p = min(a + side * math.exp(x_lo + u * (x_hi - x_lo)),
-                math.nextafter(hi.price, 0.0))
+        p = a + side * math.exp(x_lo + (u if u < 1.0 - w else 1.0 - w) * (x_hi - x_lo))
+        nearest = math.nextafter(hi.price, 0.0)
+        p = p if p < nearest else nearest
     if not lo.price < p < hi.price:
         p = a + side * math.exp(0.5 * (x_lo + x_hi))
     return p if lo.price < p < hi.price else None
@@ -406,7 +370,7 @@ def dual_ascent(
     with the core a*sqrt(d) around it (d the sigmoid's normalizer) within
     which the user's response no longer goes as ln|p - a|: the solve
     probes plateau prices that fall inside its bracket before it
-    interpolates, and narrows beside a probed one in ln|p - a| (see
+    interpolates, and narrows beside one in ln|p - a| (see
     ``_clear_market``).
 
     Each probe costs one kernel response per user that it can still move.

@@ -10,7 +10,6 @@ dimensionless rate-units throughout.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Union
@@ -23,6 +22,7 @@ from .utility import (
     Logarithmic,
     Sigmoidal,
     UtilityFunction,
+    _is_number,
 )
 
 
@@ -115,11 +115,11 @@ class SolverParams:
     def __post_init__(self):
         for name in ("delta", "l1", "l2", "eps_r", "tol_r"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (_is_number(v) and v > 0):
                 raise ValueError(f"{name} must be a positive number, got {v!r}")
         for name in ("max_outer_iters", "bisect_max_iters"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
+            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if not self.delta > self.tol_r:
             raise ValueError(
@@ -127,15 +127,9 @@ class SolverParams:
                 f"tol_r ({self.tol_r})"
             )
         if self.rate_cap is not None and not (
-            isinstance(self.rate_cap, (int, float))
-            and math.isfinite(self.rate_cap)
-            and self.rate_cap > 0
+            _is_number(self.rate_cap) and self.rate_cap > 0
         ):
             raise ValueError(f"rate_cap must be None or > 0, got {self.rate_cap!r}")
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _validate_scenario(s: Scenario) -> None:

@@ -35,6 +35,11 @@ TOL_RATE = 1e-9
 BISECT_MAX_ITERS = 200
 
 
+def _is_number(v) -> bool:
+    """A finite int or float; bools are not numbers here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class Sigmoidal:
     """Sigmoid utility c*(1/(1+e^(-a(r-b))) - d), normalized to [0, 1).
@@ -48,11 +53,9 @@ class Sigmoidal:
     b: float
 
     def __post_init__(self):
-        if not (isinstance(self.a, (int, float)) and math.isfinite(self.a)
-                and self.a > 0):
+        if not (_is_number(self.a) and self.a > 0):
             raise ValueError(f"sigmoidal steepness a must be > 0, got {self.a!r}")
-        if not (isinstance(self.b, (int, float)) and math.isfinite(self.b)
-                and self.b > 0):
+        if not (_is_number(self.b) and self.b > 0):
             raise ValueError(f"sigmoidal inflection b must be > 0, got {self.b!r}")
 
 
@@ -69,11 +72,9 @@ class Logarithmic:
     r_max: float
 
     def __post_init__(self):
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k)
-                and self.k > 0):
+        if not (_is_number(self.k) and self.k > 0):
             raise ValueError(f"logarithmic slope k must be > 0, got {self.k!r}")
-        if not (isinstance(self.r_max, (int, float))
-                and math.isfinite(self.r_max) and self.r_max > 0):
+        if not (_is_number(self.r_max) and self.r_max > 0):
             raise ValueError(f"logarithmic r_max must be > 0, got {self.r_max!r}")
 
 

@@ -248,6 +248,16 @@ class TestProbeCounts:
         assert abs(res.shadow_price - steep.a) <= 1e-11 * steep.a
         assert res.iterations <= 13
 
+    def test_bracket_inside_the_core_narrows_in_log_price(self):
+        # the clearing price lies within the core a*sqrt(d) of the plateau
+        # price a, where the floored plateau coordinate is the same at both
+        # ends and cannot place a probe; log p places it instead. Stepping one
+        # float up from the low end instead ran into the 10,000-probe cap
+        res = offered_price([(1, Sigmoidal(1.0676042317873122, 3.088301172824871))],
+                            1.7423462113955943)
+        assert res.converged
+        assert res.iterations <= 7
+
     def test_section5_sweep_solves_take_few_probes(self):
         # an end landing almost on the clearing demand left Illinois to
         # halve the distance to it, up to 32 probes in one solve
@@ -259,7 +269,7 @@ class TestProbeCounts:
             for trace in traces.values()
         ]
         assert len(probes) == 151 * 4
-        assert max(probes) <= 14
+        assert max(probes) <= 13
 
 
 class TestKernelCalls:

@@ -173,6 +173,24 @@ class TestSolverParams:
             SolverParams(**kwargs)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SolverParams(max_outer_iters=True),
+    lambda: SolverParams(bisect_max_iters=True),
+    lambda: SolverParams(l1=True),
+    lambda: SolverParams(rate_cap=True),
+    lambda: Sigmoidal(True, 20.0),
+    lambda: Sigmoidal(5.0, True),
+    lambda: Logarithmic(True, 100.0),
+    lambda: Logarithmic(15.0, True),
+], ids=["max_outer_iters", "bisect_max_iters", "l1", "rate_cap",
+        "sigmoidal.a", "sigmoidal.b", "logarithmic.k", "logarithmic.r_max"])
+def test_bools_are_not_numbers(make):
+    # as in the JSON loader: True would silently count as 1, so that
+    # max_outer_iters=True capped every solve at one probe
+    with pytest.raises(ValueError):
+        make()
+
+
 class TestDirectConstruction:
     def test_duplicate_coverage_entry_rejected(self):
         with pytest.raises(ScenarioError, match="duplicate carrier id 1 in coverage"):
