@@ -16,7 +16,15 @@ Every CSV is in the excel dialect of the ``csv`` module: ints written with
 by far the bulk of a ``run`` report, are formatted directly rather than
 through ``csv.writer``; their cells are only ints and floats, which that
 dialect never quotes, so the bytes are the same as ``csv.writer`` would
-write.
+write. Where an allocation reused its discovery solve, both trace files
+hold the one trace, formatted once.
+
+Each report file is rendered whole and rewritten in place, with one write:
+an existing file is overwritten and then cut to the new length rather
+than truncated first, which on some file systems costs more than the
+write itself. Every byte of every file is written on every run. As
+before, a run that dies mid-write leaves a file that is neither the old
+report nor the new one.
 """
 
 from __future__ import annotations
@@ -25,15 +33,19 @@ import argparse
 import csv
 import logging
 import math
+import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import model, protocol
 from .enodeb import ConvergenceTrace
 from .errors import ProtocolError, ScenarioError
 
-log = logging.getLogger(__name__)
+# Named, not __name__, so that ``python -m carrieralloc.cli`` logs under the
+# package logger too, whose level ``main`` sets.
+log = logging.getLogger("carrieralloc.cli")
 
 EXIT_OK = 0
 EXIT_INPUT = 3
@@ -172,29 +184,44 @@ def _parse_sweep_spec(spec: str) -> tuple[int, _SweepPoints]:
     return cid, _SweepPoints(start, step, int(span) + 1)
 
 
+def _write_file(path: Path, data: bytes) -> None:
+    """Make ``data`` the whole content of ``path``, overwriting it in place."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    # Each row is encoded as the writer emits it, so the file's text is never
+    # held whole beside its bytes, as a StringIO would hold it (twice).
+    data = bytearray()
+    writer = csv.writer(SimpleNamespace(write=lambda row: data.extend(row.encode())))
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_file(path, data)
 
 
-def _write_trace_csv(path: Path, trace: ConvergenceTrace) -> None:
+def _write_trace_csv(path: Path, trace: ConvergenceTrace) -> bytes:
     """One trace as rows (iteration, price, user_id, w = price * r, r).
 
-    Writes the bytes ``_write_csv`` would, formatting each price and each
-    user id once and each step's rows in one write.
+    Writes, and returns, the bytes ``_write_csv`` would write, formatting
+    each price and each user id once.
     """
     uid_cells = [f"{uid}," for uid in trace.user_ids]
-    with open(path, "w", newline="") as fh:
-        fh.write("iteration,price,user_id,w,r\r\n")
-        for step in trace.steps:
-            p = step.price
-            prefix = f"{step.iteration},{p!r},"
-            fh.write("".join([
-                f"{prefix}{uid}{p * r!r},{r!r}\r\n"
-                for uid, r in zip(uid_cells, step.rates)
-            ]))
+    rows = ["iteration,price,user_id,w,r\r\n"]
+    for step in trace.steps:
+        p = step.price
+        prefix = f"{step.iteration},{p!r},"
+        rows += [f"{prefix}{uid}{p * r!r},{r!r}\r\n"
+                 for uid, r in zip(uid_cells, step.rates)]
+    data = "".join(rows).encode()
+    _write_file(path, data)
+    return data
 
 
 def _write_report_files(out: Path, scenario: model.Scenario,
@@ -225,11 +252,13 @@ def _write_report_files(out: Path, scenario: model.Scenario,
         ],
     )
     for cid in carrier_ids:
-        for phase, trace in (
-            ("offered", report.offered_traces[cid]),
-            ("allocation", report.allocation_traces[cid]),
-        ):
-            _write_trace_csv(out / f"trace_{cid}_{phase}.csv", trace)
+        offered = report.offered_traces[cid]
+        data = _write_trace_csv(out / f"trace_{cid}_offered.csv", offered)
+        allocation_path = out / f"trace_{cid}_allocation.csv"
+        if report.allocation_traces[cid] is offered:
+            _write_file(allocation_path, data)
+        else:
+            _write_trace_csv(allocation_path, report.allocation_traces[cid])
 
 
 def cmd_run(args) -> int:
@@ -297,8 +326,11 @@ def main(argv=None) -> int:
         level = logging.INFO
     elif args.verbose >= 2:
         level = logging.DEBUG
-    logging.basicConfig(stream=sys.stderr, level=level,
+    # basicConfig installs the stderr handler only when the root logger has
+    # none, so the level is set on the package's logger on every call.
+    logging.basicConfig(stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("carrieralloc").setLevel(level)
     try:
         return args.func(args)
     except (ScenarioError, ValueError) as e:

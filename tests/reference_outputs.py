@@ -1,0 +1,123 @@
+"""Reference outputs of ``protocol.run``, checked by ``test_reference_outputs``.
+
+    PYTHONPATH=src python tests/reference_outputs.py
+
+rewrites ``reference_outputs.json`` beside this file from the package on
+the path. For each scenario the file holds ``processing_order`` and, per
+carrier id, [offered price, allocation price, sum of its rates, largest
+rate]. The scenarios are the paper's section-5 sweep, R1 = 50 ... 200 in
+steps of 1, and the benchmark's wide and many ring scenarios, seeds 0-1.
+A regeneration changes test data: say what moved, and why, in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+from dataclasses import dataclass
+from pathlib import Path
+
+from carrieralloc import (
+    CarrierSpec,
+    Logarithmic,
+    Scenario,
+    Sigmoidal,
+    UserSpec,
+    run,
+    two_carrier_nine_user,
+    with_capacity,
+)
+
+REFERENCE = Path(__file__).with_name("reference_outputs.json")
+
+
+# The ring layout below copies perfbench/workloads.py, and each design is
+# built with the salt its benchmark workload uses, so that these scenarios
+# are the benchmark's. The copy keeps tier-1 independent of the benchmark.
+@dataclass(frozen=True)
+class RingDesign:
+    n_carriers: int
+    coverage_mix: tuple[int, ...]
+    loads: tuple[float, ...]
+
+
+RING_DESIGNS = {
+    "wide-carriers": RingDesign(4, (50, 50), (2.0, 40.0)),
+    "many-carriers": RingDesign(60, (3, 4, 3), (40.0,)),
+}
+
+
+def _utility(rng: random.Random):
+    if rng.random() < 0.5:
+        return Sigmoidal(a=rng.uniform(1.0, 5.0), b=rng.uniform(10.0, 30.0))
+    return Logarithmic(k=rng.uniform(0.5, 15.0), r_max=100.0)
+
+
+def ring_scenario(design: RingDesign, seed: int, salt: str) -> Scenario:
+    rng = random.Random(f"{salt}/{seed}")
+    n = design.n_carriers
+    coverages = [
+        tuple((home + j) % n + 1 for j in range(k + 1))
+        for home in range(n)
+        for k, count in enumerate(design.coverage_mix)
+        for _ in range(count)
+    ]
+    ids = list(range(1, len(coverages) + 1))
+    rng.shuffle(ids)
+    users = tuple(
+        UserSpec(id=uid, utility=_utility(rng), coverage=cov)
+        for uid, cov in zip(ids, coverages)
+    )
+    covered = [0] * n
+    for cov in coverages:
+        for cid in cov:
+            covered[cid - 1] += 1
+    rotation = rng.randrange(len(design.loads))
+    carriers = tuple(
+        CarrierSpec(
+            id=i + 1,
+            capacity=covered[i] * design.loads[(i + rotation) % len(design.loads)],
+        )
+        for i in range(n)
+    )
+    return Scenario(carriers=carriers, users=users)
+
+
+def scenarios():
+    """(name, scenario) pairs, in the reference file's order."""
+    section5 = two_carrier_nine_user()
+    for i in range(151):
+        capacity = 50.0 + i * 1.0  # the CLI's sweep points for 1=50:200:1
+        yield f"section5 R1={capacity!r}", with_capacity(section5, 1, capacity)
+    for salt, design in RING_DESIGNS.items():
+        for seed in (0, 1):
+            yield f"{salt} seed {seed}", ring_scenario(design, seed, salt)
+
+
+def summarize(scenario: Scenario) -> dict:
+    report = run(scenario)
+    return {
+        "order": list(report.processing_order),
+        "carriers": {
+            str(cid): [
+                report.offered_prices[cid],
+                report.allocation_prices[cid],
+                math.fsum(report.rates[cid].values()),
+                max(report.rates[cid].values()),
+            ]
+            for cid in sorted(report.rates)
+        },
+    }
+
+
+def main() -> None:
+    lines = [
+        f"{json.dumps(name)}: {json.dumps(summarize(scenario), separators=(',', ':'))}"
+        for name, scenario in scenarios()
+    ]
+    REFERENCE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -2,7 +2,12 @@
 
 import csv
 import itertools
+import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +165,77 @@ class TestRunCommand:
         assert names == sorted(p.name for p in out2.iterdir())
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_verbose_counts_on_every_call(self, tmp_path, caplog):
+        def wrote(argv):
+            caplog.clear()
+            assert run_cli(["run", "--preset", "section5", "--out",
+                            str(tmp_path / "out")] + argv) == 0
+            return [r for r in caplog.records
+                    if r.name == "carrieralloc.cli" and r.levelno == logging.INFO
+                    and r.getMessage().startswith("wrote report CSVs")]
+
+        logger = logging.getLogger("carrieralloc")
+        level = logger.level
+        try:
+            assert wrote([]) == []
+            assert len(wrote(["-v"])) == 1
+            assert wrote([]) == []
+        finally:
+            logger.setLevel(level)
+
+    def test_verbose_module_run_logs_its_report(self, tmp_path):
+        # Run as ``python -m carrieralloc.cli``, the module is ``__main__``.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "carrieralloc.cli", "run", "--preset",
+             "section5", "--out", str(tmp_path / "out"), "-v"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "INFO carrieralloc.cli: wrote report CSVs" in proc.stderr
+
+
+class TestWritePath:
+    @pytest.mark.parametrize("command", [
+        ["run", "--preset", "section5"],
+        ["sweep", "--preset", "section5", "--sweep", "1=50:60:10"],
+    ], ids=["run", "sweep"])
+    def test_out_naming_a_file_is_an_io_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        assert run_cli(command + ["--out", str(out)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert out.read_text() == "not a directory"
+
+    def test_report_file_name_taken_by_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "prices.csv").mkdir(parents=True)
+        code = run_cli(["run", "--preset", "section5", "--out", str(out)])
+        assert code == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "prices.csv" in err
+
+    def test_rewrite_over_stale_files_equals_a_fresh_run(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(serialize_scenario(THREE_CARRIERS))
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        argv = ["run", "--scenario", str(path), "--out"]
+        assert run_cli(argv + [str(fresh)]) == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        stale.mkdir()
+        # The first file is missing; the others alternate between stale
+        # copies longer and shorter than the new files.
+        for k, name in enumerate(names[1:]):
+            size = (fresh / name).stat().st_size
+            (stale / name).write_bytes(b"#" * (size + 100 if k % 2 else size // 2))
+        assert run_cli(argv + [str(stale)]) == 0
+        assert sorted(p.name for p in stale.iterdir()) == names
+        for name in names:
+            assert (stale / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 # Zero, the smallest subnormal, the smallest normal, floats that repr

@@ -1,0 +1,39 @@
+"""A fresh run of every reference scenario against reference_outputs.json.
+
+The order must be equal, prices within 1e-10 relative, and the rate sums
+and largest rates within 1e-8: loose enough for the last-bit moves of a
+solver change, tight enough to catch a flipped carrier order or any move
+above 1e-8. Regenerate the file with ``tests/reference_outputs.py``.
+"""
+
+import json
+import math
+
+from reference_outputs import REFERENCE, scenarios, summarize
+
+PRICE_REL_TOL = 1e-10
+RATE_ABS_TOL = 1e-8
+
+
+def test_outputs_match_the_reference():
+    reference = json.loads(REFERENCE.read_text())
+    names = []
+    moved = []
+    for name, scenario in scenarios():
+        names.append(name)
+        got, want = summarize(scenario), reference[name]
+        if got["order"] != want["order"]:
+            moved.append(f"{name}: order {got['order']} != {want['order']}")
+        assert got["carriers"].keys() == want["carriers"].keys(), name
+        for cid, (p_off, p_alloc, rate_sum, rate_max) in want["carriers"].items():
+            g_off, g_alloc, g_sum, g_max = got["carriers"][cid]
+            for what, g, w in (("offered price", g_off, p_off),
+                               ("allocation price", g_alloc, p_alloc)):
+                if not math.isclose(g, w, rel_tol=PRICE_REL_TOL, abs_tol=0.0):
+                    moved.append(f"{name}: carrier {cid} {what} {g!r} != {w!r}")
+            for what, g, w in (("rate sum", g_sum, rate_sum),
+                               ("largest rate", g_max, rate_max)):
+                if abs(g - w) > RATE_ABS_TOL:
+                    moved.append(f"{name}: carrier {cid} {what} {g!r} != {w!r}")
+    assert names == list(reference)
+    assert not moved, "\n".join(moved[:20])
