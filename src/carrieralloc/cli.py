@@ -11,6 +11,12 @@ offsets are all zero reuses its discovery solve, and a ``sweep`` point
 reuses the previous point's solves wherever their inputs are equal, such
 as the discovery of every carrier it does not sweep.
 
+The ``--out`` directory is created after every input check and before the
+first solve: an input error creates nothing, and a directory that cannot
+be made fails at once rather than after the solving. A ``run`` that then
+fails to converge (exit 4) leaves the directory in place, empty unless an
+earlier report is in it; a failed ``sweep`` point still writes its row.
+
 Every CSV is in the excel dialect of the ``csv`` module: ints written with
 ``str``, floats with ``repr``, and rows ended by ``\r\n``. The trace files,
 by far the bulk of a ``run`` report, are formatted directly rather than
@@ -264,9 +270,9 @@ def _write_report_files(out: Path, scenario: model.Scenario,
 def cmd_run(args) -> int:
     scenario = _load_scenario(args)
     params = _solver_params(args)
-    report = protocol.run(scenario, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    report = protocol.run(scenario, params)
     _write_report_files(out, scenario, report)
     log.info("wrote report CSVs to %s", out)
     return EXIT_OK
@@ -279,6 +285,8 @@ def cmd_sweep(args) -> int:
     if sweep_cid not in scenario.carrier_ids():
         raise ScenarioError(f"no carrier with id {sweep_cid}")
     carrier_ids = sorted(scenario.carrier_ids())
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     price_rows = []
     aggregate_rows = []
@@ -299,8 +307,6 @@ def cmd_sweep(args) -> int:
             for uid in sorted(point.user_ids()):
                 aggregate_rows.append([cap, uid, report.aggregates[uid]])
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "sweep_prices.csv",
         ["R_value"] + [f"p{cid}_offered" for cid in carrier_ids] + ["status"],

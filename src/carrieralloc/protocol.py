@@ -5,10 +5,12 @@ offsets) and advertises the resulting shadow price. Phase 2: every user
 orders its in-range carriers by advertised price and flags them one at a
 time; a carrier runs its allocation solve once all of its covered users
 flag it, distributing rates that become offsets for the users' next
-carriers. All users order from one price table, so phase 2 is one pass
-over the carriers, in the order that rounds of flags would serve them:
-by wave (how many carriers must be served before, along any user's
-order), then price, then id. ``ue.record_rate`` rejects a rate from any
+carriers. ``ue.order_carriers`` orders the whole price table once, and
+every user's order is its coverage in that one order, which holds the
+pass's only tie-break between equal prices. Phase 2 is then one pass over
+the carriers, in the order that rounds of flags would serve them: by wave
+(how many carriers must be served before, along any user's order), then
+in the price table's order. ``ue.record_rate`` rejects a rate from any
 carrier but the one its user flags.
 
 A carrier solve reads only its capacity, the solver parameters and each
@@ -162,30 +164,30 @@ def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> Allocat
 
     discovery = _discover_prices(scenario, params, solves)
     offered = {cid: res.shadow_price for cid, res in discovery.items()}
-    states = {
-        u.id: ue.UeState(
-            user_id=u.id,
-            carrier_order=ue.order_carriers({cid: offered[cid] for cid in u.coverage}),
-        )
-        for u in scenario.users
-    }
 
-    # A carrier can be served once each covered user has its rate from the
-    # carrier before it in that user's price order. Its wave is one more
-    # than the latest wave among those carriers, or 0 when there is none.
-    # Every user orders from the one price table, so walking all carriers
-    # in (price, id) order meets each user's carriers in its own order.
+    # One walk over the price table's order gives every user its own order,
+    # its coverage as met along the walk, and every carrier its wave. A
+    # carrier can be served once each covered user has its rate from the
+    # carrier before it in that user's order, so its wave is one more than
+    # the latest wave among those carriers, or 0 when there is none.
+    orders: dict[int, list[int]] = {u.id: [] for u in scenario.users}
     wave: dict[int, int] = {}
-    latest: dict[int, int] = {}  # user id -> wave of its last carrier so far
-    for cid in sorted(offered, key=lambda c: (offered[c], c)):
+    for cid in ue.order_carriers(offered):
         users = scenario.covered_users(cid)
-        wave[cid] = 1 + max(latest.get(uid, -1) for uid in users)
+        wave[cid] = 1 + max(
+            (wave[orders[uid][-1]] for uid in users if orders[uid]), default=-1
+        )
         for uid in users:
-            latest[uid] = wave[cid]
+            orders[uid].append(cid)
+    states = {
+        uid: ue.UeState(user_id=uid, carrier_order=tuple(order))
+        for uid, order in orders.items()
+    }
+    # The sort is stable, so carriers of one wave keep the price table's order.
+    processing_order = tuple(sorted(wave, key=wave.__getitem__))
 
     results: dict[int, DualAscentResult] = {}
     offsets_used: dict[int, dict[int, float]] = {}
-    processing_order = tuple(sorted(wave, key=lambda c: (wave[c], offered[c], c)))
     for cid in processing_order:
         users = scenario.covered_users(cid)
         entries = [

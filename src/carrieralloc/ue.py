@@ -18,7 +18,12 @@ from .errors import ProtocolError
 
 
 def order_carriers(prices: Mapping[int, float]) -> tuple[int, ...]:
-    """Carrier ids sorted by ascending price, ties broken by ascending id."""
+    """Carrier ids sorted by ascending price, ties broken by ascending id.
+
+    ``protocol.run`` calls this once, on the whole price table, and gives
+    each user its coverage in this order: it is the only place where a tie
+    between equal prices is broken.
+    """
     if not prices:
         raise ValueError("no carriers to order")
     for cid, p in prices.items():

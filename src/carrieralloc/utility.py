@@ -19,6 +19,7 @@ on each utility's family code and two parameters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import _kernels_py as kernels
@@ -36,8 +37,17 @@ BISECT_MAX_ITERS = 200
 
 
 def _is_number(v) -> bool:
-    """A finite int or float; bools are not numbers here."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite int or float; bools are not numbers here.
+
+    Compared against the largest float rather than passed to ``math.isfinite``,
+    which raises OverflowError on an int beyond the float range; the
+    comparison is exact for ints and false for NaN.
+    """
+    return (
+        isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and -sys.float_info.max <= v <= sys.float_info.max
+    )
 
 
 @dataclass(frozen=True)

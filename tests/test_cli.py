@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import json
 import logging
 import math
 import os
@@ -124,6 +125,25 @@ class TestRunCommand:
         total = sum(float(r[1]) for r in rows[1:])
         assert total == pytest.approx(160.0, rel=1e-6)
 
+    @pytest.mark.parametrize("field", ["capacity", "k"])
+    def test_integer_beyond_float_range_is_an_input_error(self, tmp_path, capsys,
+                                                          field):
+        doc = json.loads(serialize_scenario(THREE_CARRIERS))
+        if field == "capacity":
+            doc["carriers"][0]["capacity"] = 10**400
+        else:
+            doc["users"][1]["utility"]["k"] = 10**400
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["run", "--scenario", str(path),
+                        "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = run_cli(["run", "--scenario", str(tmp_path / "absent.json"),
                         "--out", str(tmp_path / "out")])
@@ -201,7 +221,12 @@ class TestWritePath:
         ["run", "--preset", "section5"],
         ["sweep", "--preset", "section5", "--sweep", "1=50:60:10"],
     ], ids=["run", "sweep"])
-    def test_out_naming_a_file_is_an_io_error(self, tmp_path, capsys, command):
+    def test_out_naming_a_file_is_an_io_error(self, tmp_path, capsys, monkeypatch,
+                                              command):
+        def no_solve(scenario, params=None):
+            pytest.fail("solved before creating the output directory")
+
+        monkeypatch.setattr(cli.protocol, "run", no_solve)
         out = tmp_path / "out"
         out.write_text("not a directory")
         assert run_cli(command + ["--out", str(out)]) == cli.EXIT_IO

@@ -1,6 +1,7 @@
 """Scenario model: validation, JSON round trips, and the built-in preset."""
 
 import json
+import sys
 
 import pytest
 
@@ -189,6 +190,36 @@ def test_bools_are_not_numbers(make):
     # max_outer_iters=True capped every solve at one probe
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SolverParams(l1=10**400),
+    lambda: SolverParams(delta=-10**400),
+    lambda: SolverParams(rate_cap=10**400),
+    lambda: Sigmoidal(10**400, 20.0),
+    lambda: Sigmoidal(5.0, 10**400),
+    lambda: Logarithmic(10**400, 100.0),
+    lambda: Logarithmic(15.0, 10**400),
+], ids=["l1", "delta", "rate_cap",
+        "sigmoidal.a", "sigmoidal.b", "logarithmic.k", "logarithmic.r_max"])
+def test_ints_beyond_the_float_range_are_not_numbers(make):
+    # math.isfinite would raise OverflowError on them, not a ValueError
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("field, value", [("capacity", 100), ("a", 5), ("k", 15)])
+def test_json_integer_beyond_the_float_range_rejected(field, value):
+    doc = VALID_DOC.replace(f'"{field}": {value}', f'"{field}": 1{"0" * 400}')
+    assert doc != VALID_DOC
+    with pytest.raises(ScenarioError, match=field):
+        parse_scenario(doc)
+
+
+def test_largest_float_and_an_int_equal_to_it_are_numbers():
+    big = int(sys.float_info.max)
+    assert Logarithmic(15.0, big).r_max == big
+    assert SolverParams(l1=sys.float_info.max).l1 == sys.float_info.max
 
 
 class TestDirectConstruction:

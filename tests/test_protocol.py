@@ -193,6 +193,45 @@ RING = Scenario(
 SECTION5_POINTS = [two_carrier_nine_user(r1, 100.0) for r1 in (50.0, 100.0, 130.0, 200.0)]
 
 
+class TestOneCarrierOrder:
+    """``ue.order_carriers`` on the price table is the run's only price order."""
+
+    def test_tie_break_decided_by_order_carriers_alone(self, monkeypatch):
+        # At R1 = 100 the two offered prices are equal; a descending-id
+        # tie-break in order_carriers alone must flip the whole pass.
+        calls = []
+
+        def descending_ids(prices):
+            calls.append(dict(prices))
+            return tuple(sorted(prices, key=lambda c: (prices[c], -c)))
+
+        monkeypatch.setattr(protocol.ue, "order_carriers", descending_ids)
+        report = run(two_carrier_nine_user(100.0, 100.0))
+        assert report.offered_prices[1] == report.offered_prices[2]
+        assert calls == [report.offered_prices]
+        assert report.processing_order == (2, 1)
+        for uid in (4, 5, 6):
+            assert report.offsets[2][uid] == 0.0
+            assert report.offsets[1][uid] == report.rates[2][uid]
+
+    @pytest.mark.parametrize("scenario", SECTION5_POINTS + [RING])
+    def test_each_user_orders_its_coverage_by_price_then_id(self, monkeypatch,
+                                                            scenario):
+        orders = {}
+        record_rate = protocol.ue.record_rate
+
+        def recording(state, carrier_id, rate):
+            orders[state.user_id] = state.carrier_order
+            record_rate(state, carrier_id, rate)
+
+        monkeypatch.setattr(protocol.ue, "record_rate", recording)
+        prices = run(scenario).offered_prices
+        assert orders == {
+            u.id: tuple(sorted(u.coverage, key=lambda c: (prices[c], c)))
+            for u in scenario.users
+        }
+
+
 @pytest.fixture
 def solve_calls(monkeypatch):
     """Every carrier solve the protocol runs, as (phase, capacity), in order."""
