@@ -11,14 +11,14 @@ carries (q1, q2) = (k, r_max).
 A user's best response has one implementation, split in two so that a
 caller posting many prices to the same users pays the per-user work once:
 ``response_constants`` forms what depends on the utility alone (the
-sigmoid's d, a*d and 1 - d), and ``response`` inverts the log-marginal at
-one price from those. The carrier solve forms the constants once per solve
-and calls ``response`` with r_cap + offset as its cap, once per probe for
-each user whose rate the probe's price can still move: a user whose offset
-covers its response at that price is skipped (see ``enodeb``).
-``inverse_log_marginal`` and ``net_benefit`` are thin wrappers that form
-the constants per call, so every path returns the same bits, which are
-also those of ``_kernels.c``.
+sigmoid's d, a*d and 1 - d), and ``net_rates`` inverts the log-marginal at
+one price from those, for every row of a user table. The carrier solve
+forms its table once per solve, with r_cap + offset as each user's cap,
+and makes one ``net_rates`` call per probe, which loops over the table: a
+row whose offset covers its response at that price is skipped (see
+``enodeb``). ``response``, ``inverse_log_marginal`` and ``net_benefit``
+are one-row tables, so every path returns the same bits, which are also
+those of ``_kernels.c``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ _DBL_MAX = sys.float_info.max
 _LN_DBL_MAX = math.log(_DBL_MAX)
 # Past this |h|, h * h in the sigmoid inverse would overflow.
 _HUGE_H = 1e150
+# skip_from of a one-row table, which is never skipped: no price compares
+# >= nan, not even an infinite one.
+_NO_SKIP = math.nan
 # Newton steps of the log inverse. Convergence is quadratic, so once a step
 # moves u by at most _NEWTON_RTOL * u, u is exact to float64 resolution.
 _NEWTON_STEPS = 8
@@ -149,13 +152,16 @@ def response_constants(family, q1, q2):
     return 0.0, 0.0, 0.0
 
 
-def response(family, q1, q2, d, ad, omd, price, r_cap, eps_r):
-    """Unique r in [eps_r, r_cap] with log_marginal(r) = price, in closed form.
+def net_rates(table, price, eps_r):
+    """Every row's net rate at one posted price, as a tuple: the one response.
 
-    (d, ad, omd) are ``response_constants(family, q1, q2)``, so a caller
-    that posts many prices to one user computes them once. Returns r_cap
-    when the root lies above the cap (cap binds) or when r_cap <= eps_r,
-    and eps_r when it lies below the floor.
+    Each row of ``table`` is (family, q1, q2, d, ad, omd, r_cap, offset,
+    skip_from), with (d, ad, omd) = ``response_constants(family, q1, q2)``.
+    A row's rate is max(0, x - offset), where x is the unique r in
+    [eps_r, r_cap] with log_marginal(r) = price, in closed form; it is 0.0
+    without computing x when price >= skip_from. x is r_cap when the root
+    lies above the cap (cap binds) or when r_cap <= eps_r, and eps_r when it
+    lies below the floor.
 
     Sigmoid: a*s*(1 - s) = price*(s - d) is a quadratic in s. With
     h = (a - price)/2 and root = sqrt(h^2 + a*d*price), s = (h + root)/a and
@@ -169,68 +175,92 @@ def response(family, q1, q2, d, ad, omd, price, r_cap, eps_r):
     u + ln u = ln z from the asymptotic start of Lambert's W when ln z >= 1,
     then r = (z/u - 1)/k; Newton on u * e^u = z from z/(1 + z) below that,
     then r = expm1(u)/k.
+
+    The carrier solve posts each probe's price to its whole user table in
+    one call, so a probe pays no Python call per user; ``response``,
+    ``inverse_log_marginal`` and ``net_benefit`` are one-row tables.
     """
-    if r_cap <= eps_r:
-        return r_cap
-    if family == SIGMOIDAL:
-        h = 0.5 * (q1 - price)
-        if abs(h) > _HUGE_H:
-            root = abs(h) * math.sqrt(1.0 + (ad / h) * (price / h))
-        else:
-            root = math.sqrt(h * h + ad * price)
-        big = 0.5 * (q1 + price) + root
-        oms = price * omd / big
-        if h >= 0.0:
-            s = (h + root) / q1
-            if s <= 0.0:
-                return eps_r
-            if oms <= 0.0:
-                return r_cap
-            r = q2 + (math.log(s) - math.log(oms)) / q1
-        elif d > 0.0:
-            # With t = a/(root - h): s/d = 1 + t*(1 - s),
-            # (1 - d)/(1 - s) = 1 + t*d and logit(d) = -a*b.
-            t = q1 / (root - h)
-            r = (math.log1p(t * oms) + math.log1p(t * d)) / q1
-        else:
-            return eps_r
-    else:
-        z = q1 / price
-        if z <= 0.0:
-            return eps_r
-        if z > _DBL_MAX:
-            big_l = math.log(q1) - math.log(price)
-        else:
-            big_l = math.log(z)
-        if big_l >= 1.0:
-            ln_l = math.log(big_l)
-            u = big_l - ln_l + ln_l / big_l
-            for _ in range(_NEWTON_STEPS):
-                step = (math.log(u) + u - big_l) * u / (1.0 + u)
-                u -= step
-                if abs(step) <= _NEWTON_RTOL * u:
-                    break
-            if z > _DBL_MAX:
-                if u > _LN_DBL_MAX:
-                    return r_cap
-                r = math.expm1(u) / q1
+    log, log1p, sqrt, exp, expm1 = math.log, math.log1p, math.sqrt, math.exp, math.expm1
+    out = []
+    append = out.append
+    for family, q1, q2, d, ad, omd, r_cap, offset, skip_from in table:
+        if price >= skip_from:
+            append(0.0)
+            continue
+        if r_cap <= eps_r:
+            append(r_cap - offset if r_cap > offset else 0.0)
+            continue
+        if family == SIGMOIDAL:
+            h = 0.5 * (q1 - price)
+            if h > _HUGE_H or h < -_HUGE_H:
+                root = abs(h) * sqrt(1.0 + (ad / h) * (price / h))
             else:
-                # e^u = z/u: unlike expm1(u), no error amplified by u
-                r = (z / u - 1.0) / q1
+                root = sqrt(h * h + ad * price)
+            oms = price * omd / (0.5 * (q1 + price) + root)
+            if h >= 0.0:
+                s = (h + root) / q1
+                if s <= 0.0:
+                    r = eps_r
+                elif oms <= 0.0:
+                    r = r_cap
+                else:
+                    r = q2 + (log(s) - log(oms)) / q1
+            elif d > 0.0:
+                # With t = a/(root - h): s/d = 1 + t*(1 - s),
+                # (1 - d)/(1 - s) = 1 + t*d and logit(d) = -a*b.
+                t = q1 / (root - h)
+                r = (log1p(t * oms) + log1p(t * d)) / q1
+            else:
+                r = eps_r
         else:
-            # Small u: ln u - ln z would cancel, so iterate on u * e^u = z.
-            u = z / (1.0 + z)
-            for _ in range(_NEWTON_STEPS):
-                step = (u - z * math.exp(-u)) / (1.0 + u)
-                u -= step
-                if abs(step) <= _NEWTON_RTOL * u:
-                    break
-            r = math.expm1(u) / q1
-    if r < eps_r:
-        return eps_r
-    if r > r_cap:
-        return r_cap
-    return r
+            z = q1 / price
+            big_l = log(q1) - log(price) if z > _DBL_MAX else log(z) if z > 0.0 else 0.0
+            if z <= 0.0:
+                r = eps_r
+            elif big_l >= 1.0:
+                ln_l = log(big_l)
+                u = big_l - ln_l + ln_l / big_l
+                for _ in range(_NEWTON_STEPS):
+                    step = (log(u) + u - big_l) * u / (1.0 + u)
+                    u -= step
+                    tol = _NEWTON_RTOL * u
+                    if -tol <= step <= tol:  # |step| <= tol, without a call
+                        break
+                if z <= _DBL_MAX:
+                    # e^u = z/u: unlike expm1(u), no error amplified by u
+                    r = (z / u - 1.0) / q1
+                elif u > _LN_DBL_MAX:
+                    r = r_cap
+                else:
+                    r = expm1(u) / q1
+            else:
+                # Small u: ln u - ln z would cancel, so iterate on u * e^u = z.
+                u = z / (1.0 + z)
+                for _ in range(_NEWTON_STEPS):
+                    step = (u - z * exp(-u)) / (1.0 + u)
+                    u -= step
+                    tol = _NEWTON_RTOL * u
+                    if -tol <= step <= tol:
+                        break
+                r = expm1(u) / q1
+        if r < eps_r:
+            r = eps_r
+        elif r > r_cap:
+            r = r_cap
+        append(r - offset if r > offset else 0.0)
+    return tuple(out)
+
+
+def response(family, q1, q2, d, ad, omd, price, r_cap, eps_r):
+    """Unique r in [eps_r, r_cap] with log_marginal(r) = price: ``net_rates``
+    of one row without an offset.
+
+    (d, ad, omd) are ``response_constants(family, q1, q2)``, so a caller
+    that posts many prices to one user computes them once. The response is
+    positive wherever eps_r and r_cap are, so the net rate's floor at 0.0
+    leaves it as it is.
+    """
+    return net_rates(((family, q1, q2, d, ad, omd, r_cap, 0.0, _NO_SKIP),), price, eps_r)[0]
 
 
 def inverse_log_marginal(family, q1, q2, price, r_cap, eps_r, tol_r, max_iters):
@@ -246,12 +276,12 @@ def inverse_log_marginal(family, q1, q2, price, r_cap, eps_r, tol_r, max_iters):
 def net_benefit(family, q1, q2, price, offset, r_cap, eps_r, tol_r, max_iters):
     """argmax over r >= 0 of log U(r + offset) - price * r, capped at r_cap.
 
-    The response capped at r_cap + offset, less the offset, floored at zero.
-    ``tol_r`` and ``max_iters`` are ignored.
+    The response capped at r_cap + offset, less the offset, floored at zero:
+    ``net_rates`` of one row. ``tol_r`` and ``max_iters`` are ignored.
     """
     d, ad, omd = response_constants(family, q1, q2)
-    v = response(family, q1, q2, d, ad, omd, price, r_cap + offset, eps_r) - offset
-    return v if v > 0.0 else 0.0
+    row = (family, q1, q2, d, ad, omd, r_cap + offset, offset, _NO_SKIP)
+    return net_rates((row,), price, eps_r)[0]
 
 
 def fluctuation_clamp(w_new, w_prev, n, l1, l2):

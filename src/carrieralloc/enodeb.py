@@ -25,15 +25,16 @@ Jarratt 1971); pushes a probe that falls next to the end just replaced
 just far enough past it that, if it lands across the root, the two
 certify every rate; and falls back to the midpoint in x.
 
-The probe forms each user's response constants once per solve and calls
-the kernels' ``response`` once per probe for each user that the price can
-still move. A user holding an offset c answers exactly 0 at every price
-above its zero price, where its response falls below c. In the allocation
-phase many users' offsets cover their demand at most of the prices probed,
-so a probe above a user's zero price writes its 0.0 without a kernel call.
-The zero price comes from the log-marginal at c and is confirmed by one
-response per solve, so the rates keep the bits that a call would give (see
-``_skip_from``).
+The solve forms each user's response constants once, into a user table,
+and each probe is one call of the kernels' ``net_rates`` over that table,
+which computes a response for each user that the price can still move. A
+user holding an offset c answers exactly 0 at every price above its zero
+price, where its response falls below c. In the allocation phase many
+users' offsets cover their demand at most of the prices probed, so above
+a user's zero price the kernel writes its 0.0 without computing the
+response. The zero price comes from the log-marginal at c and is confirmed
+by one response per solve, so the rates keep the bits that a response
+would give (see ``_skip_from``).
 
 Each probe is one trace step, which stores the posted price and the rates;
 the bids p * r_j are derived from them on demand rather than stored.
@@ -56,7 +57,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from . import _kernels_py as kernels
 from .model import SolverParams
-from .utility import Logarithmic, UtilityFunction, unpack
+from .utility import Logarithmic, UtilityFunction, _is_number, unpack
 
 Entry = tuple[int, UtilityFunction, float]
 
@@ -77,11 +78,11 @@ PLATEAU_BAND = 0.01
 ZERO_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One root-find probe: posted price and rates r_j.
 
     The bids p * r_j are not stored; ``bids`` computes them from the two.
+    A probe allocates this one record, which the solve also classifies.
     """
 
     iteration: int
@@ -142,16 +143,8 @@ def rate_cap_for(
     return 2.0 * cap
 
 
-class _End(NamedTuple):
-    """One probe: the price, every user's best response, and their sum."""
-
-    price: float
-    rates: tuple[float, ...]
-    demand: float
-
-
 def _clear_market(
-    probe: Callable[[float], _End],
+    probe: Callable[[float], TraceStep],
     capacity: float,
     max_probes: int,
     tol: float,
@@ -191,28 +184,34 @@ def _clear_market(
     between its two ends, or once the ends are adjacent floats and the
     price can be resolved no further.
     """
+    fsum = math.fsum
     lo = hi = None  # probes with demand above / below capacity
+    d_lo = d_hi = 0.0  # their demands
     g_lo = g_hi = 0.0  # log(demand / capacity) at lo and hi, Anderson-Bjorck-scaled
     last = None  # the end the previous probe replaced
-    end = None  # the latest probe
+    end, demand = None, 0.0  # the latest probe and its demand
     plateau_prices = sorted(plateaus)
     t, step = 0.0, 1.0  # log price of the next probe; bracket-search step
     p = INIT_PRICE
     converged = False
     for _ in range(max_probes):
-        previous, end = end, probe(p)
-        if end.demand == capacity:
+        previous, d_previous = end, demand
+        end = probe(p)
+        # fsum is correctly rounded, so demand does not depend on the order
+        # of the users
+        demand = fsum(end.rates)
+        if demand == capacity:
             return end.price, end.rates, True
-        g = math.log(end.demand / capacity) if end.demand > 0.0 else -math.inf
-        if end.demand > capacity:
+        g = math.log(demand / capacity) if demand > 0.0 else -math.inf
+        if demand > capacity:
             if last == "lo":
                 g_hi *= _stale_scale(g, g_lo)
-            lo, g_lo = end, g
+            lo, d_lo, g_lo = end, demand, g
             last = "lo"
         else:
             if last == "hi":
                 g_lo *= _stale_scale(g, g_hi)
-            hi, g_hi = end, g
+            hi, d_hi, g_hi = end, demand, g
             last = "hi"
         if hi is None or lo is None:
             if t in (_T_MIN, _T_MAX):
@@ -240,30 +239,31 @@ def _clear_market(
             a = below if lo.price - below <= above - hi.price else above
             band = PLATEAU_BAND * a
             if abs(lo.price - a) <= band and abs(hi.price - a) <= band:
-                p = _narrow(a, plateaus[a], lo, hi, g_lo, g_hi, last, previous, capacity, share)
+                p = _narrow(a, plateaus[a], lo, hi, g_lo, g_hi, last, previous,
+                            d_previous - capacity, demand - capacity, share)
         if p is None:
-            p = _narrow(0.0, 0.0, lo, hi, g_lo, g_hi, last, None, capacity, share)
+            p = _narrow(0.0, 0.0, lo, hi, g_lo, g_hi, last, None, 0.0, 0.0, share)
         if p is None:
             p = math.nextafter(lo.price, math.inf)
     if lo is None or hi is None:
         end = hi if lo is None else lo
         return end.price, end.rates, False
-    end = lo if lo.demand - capacity <= capacity - hi.demand else hi
+    end, demand = (lo, d_lo) if d_lo - capacity <= capacity - d_hi else (hi, d_hi)
     if not converged:
         return end.price, end.rates, False
-    if gap <= tol and end.demand > 0.0:
-        scale = capacity / end.demand
+    if gap <= tol and demand > 0.0:
+        scale = capacity / demand
         return end.price, tuple(r * scale for r in end.rates), True
     # Demand jumps across capacity within the bracket, as on a sigmoid
     # plateau where one ulp of price moves a rate by far more than tol:
     # split the jump so that the rates fill the capacity exactly.
-    theta = (capacity - hi.demand) / (lo.demand - hi.demand)
+    theta = (capacity - d_hi) / (d_lo - d_hi)
     return end.price, tuple(b + theta * (a - b) for a, b in zip(lo.rates, hi.rates)), True
 
 
 def _narrow(
-    a: float, core: float, lo: _End, hi: _End, g_lo: float, g_hi: float,
-    last: str, previous: Union[_End, None], capacity: float, share: float,
+    a: float, core: float, lo: TraceStep, hi: TraceStep, g_lo: float, g_hi: float,
+    last: str, previous: Union[TraceStep, None], e0: float, e1: float, share: float,
 ) -> Union[float, None]:
     """Next narrowing probe, chosen in x = ln max(side * (p - a), floor).
 
@@ -273,10 +273,10 @@ def _narrow(
     price a, its response goes as ln|p - a| down to the core where it
     levels off, so demand is nearly linear in x. The probe is placed by:
 
-    1. The secant on demand - capacity through the end just replaced and
-       ``previous``, the probe before it, if one is given, lies on the
-       bracket's side of a, and the secant lands inside the bracket; else
-       the regula falsi on the ends' Anderson-Bjorck-scaled g_lo, g_hi.
+    1. The secant on demand - capacity through the end just replaced (e1)
+       and ``previous``, the probe before it (e0), if one is given, lies on
+       the bracket's side of a, and the secant lands inside the bracket;
+       else the regula falsi on the ends' Anderson-Bjorck-scaled g_lo, g_hi.
     2. A two-probe certificate. With gap the largest rate difference across
        the bracket and ``share`` = tol/gap, a share w = share/2 of the
        bracket's width in x is roughly how far x can move while every rate
@@ -303,8 +303,7 @@ def _narrow(
     # the probe's place from x_lo (0) to x_hi (1)
     u = g_lo / (g_lo - g_hi) if -math.inf < g_hi < g_lo else 0.5
     if previous is not None and (h0 := side * (previous.price - a)) >= 0.0:
-        x1, d1 = (x_lo, lo.demand) if last == "lo" else (x_hi, hi.demand)
-        e0, e1 = previous.demand - capacity, d1 - capacity
+        x1 = x_lo if last == "lo" else x_hi
         if e0 != e1:
             x0 = math.log(h0 if h0 > floor else floor)
             secant = (x1 - e1 * (x1 - x0) / (e1 - e0) - x_lo) / (x_hi - x_lo)
@@ -373,7 +372,8 @@ def dual_ascent(
     interpolates, and narrows beside one in ln|p - a| (see
     ``_clear_market``).
 
-    Each probe costs one kernel response per user that it can still move.
+    Each probe costs one kernel call, which computes one response per user
+    that the probe can still move.
     A user with a positive offset is skipped, its rate set to 0.0, at
     probes above its zero price, past which its response stays below its
     offset (see ``_skip_from``); finding the zero price costs one response
@@ -391,7 +391,7 @@ def dual_ascent(
         params = SolverParams()
     if not entries:
         raise ValueError("entries must not be empty")
-    if not (math.isfinite(capacity) and capacity > 0):
+    if not (_is_number(capacity) and capacity > 0):
         raise ValueError(f"capacity must be > 0, got {capacity!r}")
     user_ids = [uid for uid, _, _ in entries]
     if len(set(user_ids)) != len(user_ids):
@@ -408,7 +408,9 @@ def dual_ascent(
     plateaus: dict[float, float] = {}
     for uid, u, c in entries:
         fam, q1, q2 = unpack(u)
-        if not (math.isfinite(c) and c >= 0):
+        # comparisons, not _is_number: no call per user, and no float() of
+        # an int beyond the float range, which would raise OverflowError
+        if c is True or c is False or not 0.0 <= c <= _P_MAX:
             raise ValueError(f"user {uid}: offset must be >= 0, got {c!r}")
         c = float(c)
         d, ad, omd = kernels.response_constants(fam, q1, q2)
@@ -419,22 +421,15 @@ def dual_ascent(
             a = float(q1)
             plateaus[a] = max(plateaus.get(a, 0.0), a * math.sqrt(d))
 
-    response = kernels.response
+    net_rates = kernels.net_rates
     steps: list[TraceStep] = []
 
-    def probe(p: float) -> _End:
-        # the rates kernels.net_benefit gives, from one kernel call for each
-        # user that the price has not priced out
-        rates = tuple([
-            0.0 if p >= skip_from
-            else v if (v := response(fam, q1, q2, d, ad, omd, p, x_cap, eps_r) - c) > 0.0
-            else 0.0
-            for fam, q1, q2, d, ad, omd, x_cap, c, skip_from in users
-        ])
-        steps.append(TraceStep(len(steps) + 1, p, rates))
-        # fsum is correctly rounded, so demand does not depend on the order
-        # of the users; the bracket needs no monotonicity (see _clear_market).
-        return _End(p, rates, math.fsum(rates))
+    def probe(p: float) -> TraceStep:
+        # the rates kernels.net_benefit gives, from one kernel call over the
+        # whole user table
+        step = TraceStep(len(steps) + 1, p, net_rates(users, p, eps_r))
+        steps.append(step)
+        return step
 
     price, rates, converged = _clear_market(
         probe, capacity, params.max_outer_iters, tol_r, plateaus

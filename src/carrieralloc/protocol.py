@@ -10,8 +10,14 @@ every user's order is its coverage in that one order, which holds the
 pass's only tie-break between equal prices. Phase 2 is then one pass over
 the carriers, in the order that rounds of flags would serve them: by wave
 (how many carriers must be served before, along any user's order), then
-in the price table's order. ``ue.record_rate`` rejects a rate from any
-carrier but the one its user flags.
+in the price table's order. Every covered user flags the carrier served,
+by construction of that order.
+
+``run`` keeps each user's received rates as a list in pass order. The
+user's offset on its next carrier is ``float(sum(rates))``, 0.0 before the
+first rate, and its aggregate is ``sum(rates)`` over all of them: Python's
+``sum`` of the whole list each time, never a running ``+=``, since from
+Python 3.12 on ``sum`` of floats is compensated and the two round apart.
 
 A carrier solve reads only its capacity, the solver parameters and each
 covered user's (id, utility, offset) in listing order, and it is
@@ -30,7 +36,7 @@ import logging
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from . import ue
 from .enodeb import ConvergenceTrace, DualAscentResult, dual_ascent, offered_price
@@ -65,31 +71,43 @@ class AllocationReport:
 
 
 class _Solves:
-    """Carrier solve results by their inputs: the current and the previous sweep point.
+    """Carrier solve results by their keys: the current and the previous sweep point.
 
-    A key is everything a solve reads (see ``_solve_key``), so a stored
-    result is exactly what the solve would return again. A reused result is
-    the same object, not a copy; ``run`` copies the rates it reports.
+    A key (see ``_solve_key``) holds the capacity, the solver parameters and
+    each covered user's id and offset, but not the users' utilities. The
+    store is bound to one scenario's ``users`` tuple, in which an id names
+    one utility, so a key holds everything a solve reads and a stored
+    result is exactly what the solve would return again. A point that
+    brings another ``users`` object starts from an empty store;
+    ``with_capacity`` keeps the object, so the points of one sweep share
+    it. A reused result is the same object, not a copy; ``run`` copies the
+    rates it reports.
     """
 
     def __init__(self) -> None:
+        self.users: Union[tuple, None] = None
         self.current: dict[tuple, DualAscentResult] = {}
         self.previous: dict[tuple, DualAscentResult] = {}
 
-    def next_point(self) -> None:
-        """Start a new sweep point; results from two points back are dropped."""
-        self.previous, self.current = self.current, {}
+    def next_point(self, users: tuple) -> None:
+        """Start a point of ``users``; results from two points back are dropped,
+        and so are the previous point's unless it had the same ``users``."""
+        if users is self.users:
+            self.previous, self.current = self.current, {}
+        else:
+            self.users, self.previous, self.current = users, {}, {}
 
-    def solve(
-        self, key: tuple, solver: Callable[..., DualAscentResult], *args
-    ) -> DualAscentResult:
-        """``solver(*args)``, unless a solve with the same key is stored."""
+    def find(self, key: tuple) -> Union[DualAscentResult, None]:
+        """The result stored under ``key`` at this point or the previous one."""
         res = self.current.get(key)
         if res is None:
             res = self.previous.get(key)
-            if res is None:
-                res = solver(*args)
-            self.current[key] = res
+            if res is not None:
+                self.current[key] = res
+        return res
+
+    def add(self, key: tuple, res: DualAscentResult) -> DualAscentResult:
+        self.current[key] = res
         return res
 
 
@@ -110,32 +128,31 @@ def _reuse_between_points() -> Iterator[None]:
         _sweep_solves.reset(token)
 
 
-def _solve_key(entries: Iterable[tuple], capacity: float, params: SolverParams) -> tuple:
-    """Everything a carrier solve reads; equal keys give equal results.
+def _solve_key(
+    capacity: float, params: SolverParams,
+    user_ids: tuple[int, ...], offsets: tuple[float, ...],
+) -> tuple:
+    """What a carrier solve reads, less the utilities; equal keys give equal results.
 
-    Utilities compare by value. Within one scenario, and across the points
-    of a sweep, a user id always carries the same utility object.
+    The covered users' ids and their float offsets, in listing order, stand
+    for the pairs (id, offset). Utilities are left out: they are the costly
+    part to hash and compare, and within the one ``users`` tuple that a
+    ``_Solves`` is bound to, an id names one utility.
     """
-    return (
-        float(capacity),
-        params,
-        tuple((uid, u, float(c)) for uid, u, c in entries),
-    )
+    return (float(capacity), params, user_ids, offsets)
 
 
 def _discover_prices(
-    scenario: Scenario, params: SolverParams, solves: _Solves
+    scenario: Scenario, utility: dict, params: SolverParams, solves: _Solves
 ) -> dict[int, DualAscentResult]:
     results = {}
     for carrier in scenario.carriers:
-        users = [
-            (uid, scenario.user(uid).utility)
-            for uid in scenario.covered_users(carrier.id)
-        ]
-        key = _solve_key(
-            ((uid, u, 0.0) for uid, u in users), carrier.capacity, params
-        )
-        res = solves.solve(key, offered_price, users, carrier.capacity, params)
+        covered = scenario.covered_users(carrier.id)
+        key = _solve_key(carrier.capacity, params, covered, (0.0,) * len(covered))
+        res = solves.find(key)
+        if res is None:
+            users = [(uid, utility[uid]) for uid in covered]
+            res = solves.add(key, offered_price(users, carrier.capacity, params))
         if not res.converged:
             raise ConvergenceError(carrier.id, "price discovery", res.iterations)
         log.debug(
@@ -159,44 +176,43 @@ def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> Allocat
     solves = _sweep_solves.get()
     if solves is None:
         solves = _Solves()
-    else:
-        solves.next_point()
+    solves.next_point(scenario.users)
+    utility = {u.id: u.utility for u in scenario.users}
 
-    discovery = _discover_prices(scenario, params, solves)
+    discovery = _discover_prices(scenario, utility, params, solves)
     offered = {cid: res.shadow_price for cid, res in discovery.items()}
 
-    # One walk over the price table's order gives every user its own order,
-    # its coverage as met along the walk, and every carrier its wave. A
+    # One walk over the price table's order gives every carrier its wave:
+    # every user's order is its coverage as met along the walk, and a
     # carrier can be served once each covered user has its rate from the
-    # carrier before it in that user's order, so its wave is one more than
+    # carrier before it in that user's order. So its wave is one more than
     # the latest wave among those carriers, or 0 when there is none.
-    orders: dict[int, list[int]] = {u.id: [] for u in scenario.users}
     wave: dict[int, int] = {}
+    level = dict.fromkeys(utility, -1)  # the wave of each user's latest carrier
     for cid in ue.order_carriers(offered):
         users = scenario.covered_users(cid)
-        wave[cid] = 1 + max(
-            (wave[orders[uid][-1]] for uid in users if orders[uid]), default=-1
-        )
+        wave[cid] = w = 1 + max([level[uid] for uid in users])
         for uid in users:
-            orders[uid].append(cid)
-    states = {
-        uid: ue.UeState(user_id=uid, carrier_order=tuple(order))
-        for uid, order in orders.items()
-    }
+            level[uid] = w
     # The sort is stable, so carriers of one wave keep the price table's order.
     processing_order = tuple(sorted(wave, key=wave.__getitem__))
 
+    # Each user's rates in pass order, and their sum (see the module
+    # docstring): the offset on its next carrier, and at the end its
+    # aggregate. A sum of floats is a float, so float() would not change it.
+    received: dict[int, list[float]] = {uid: [] for uid in utility}
+    total = dict.fromkeys(utility, 0.0)
     results: dict[int, DualAscentResult] = {}
     offsets_used: dict[int, dict[int, float]] = {}
     for cid in processing_order:
         users = scenario.covered_users(cid)
-        entries = [
-            (uid, scenario.user(uid).utility, states[uid].pending_offset)
-            for uid in users
-        ]
+        offsets = tuple([total[uid] for uid in users])
         capacity = scenario.carrier(cid).capacity
-        key = _solve_key(entries, capacity, params)
-        res = solves.solve(key, dual_ascent, entries, capacity, params)
+        key = _solve_key(capacity, params, users, offsets)
+        res = solves.find(key)
+        if res is None:
+            entries = [(uid, utility[uid], c) for uid, c in zip(users, offsets)]
+            res = solves.add(key, dual_ascent(entries, capacity, params))
         if not res.converged:
             raise ConvergenceError(cid, "allocation", res.iterations)
         log.debug(
@@ -204,16 +220,19 @@ def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> Allocat
             cid, res.shadow_price, res.iterations,
         )
         results[cid] = res
-        offsets_used[cid] = {uid: c for uid, _, c in entries}
+        offsets_used[cid] = dict(zip(users, offsets))
+        rates = res.rates
         for uid in users:
-            ue.record_rate(states[uid], cid, res.rates[uid])
+            got = received[uid]
+            got.append(rates[uid])
+            total[uid] = sum(got)
 
     return AllocationReport(
         offered_prices=offered,
         allocation_prices={cid: res.shadow_price for cid, res in results.items()},
         rates={cid: dict(res.rates) for cid, res in results.items()},
         offsets=offsets_used,
-        aggregates={uid: states[uid].aggregated_rate for uid in scenario.user_ids()},
+        aggregates=total,
         offered_traces={cid: res.trace for cid, res in discovery.items()},
         allocation_traces={cid: res.trace for cid, res in results.items()},
         processing_order=processing_order,

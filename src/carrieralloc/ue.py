@@ -6,6 +6,11 @@ from it moves the flag to the next carrier, carrying the sum of everything
 received so far as the offset for that carrier's solve. When the order is
 exhausted the user is done and its aggregated rate is the sum of all
 received rates.
+
+``protocol.run`` calls only ``order_carriers``; it keeps the received
+rates and the offsets itself. ``UeState``, ``next_flag`` and
+``record_rate`` stay only because the benchmark's tracer
+(``perfbench/tracing.py``) patches them by name.
 """
 
 from __future__ import annotations
@@ -72,8 +77,7 @@ def next_flag(state: UeState) -> Optional[int]:
 
     This is the user's side of the protocol: the one carrier it expects a
     rate from next. The orchestrator does not poll it; it serves carriers
-    in an order in which each covered user flags the carrier served, and
-    ``record_rate`` checks that.
+    in an order in which each covered user flags the carrier served.
     """
     return state.next_carrier
 

@@ -18,7 +18,6 @@ on each utility's family code and two parameters.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -48,6 +47,16 @@ def _is_number(v) -> bool:
         and not isinstance(v, bool)
         and -sys.float_info.max <= v <= sys.float_info.max
     )
+
+
+def _is_rate(v) -> bool:
+    """A float, or an int within the float range; bools are not rates here.
+
+    Unlike ``_is_number``, an infinite or nan float passes: the curves take
+    their limits at an infinite rate. An int beyond the float range would
+    raise OverflowError in the kernels' float arithmetic instead.
+    """
+    return isinstance(v, float) or _is_number(v)
 
 
 @dataclass(frozen=True)
@@ -104,7 +113,7 @@ def unpack(u: UtilityFunction) -> tuple[int, float, float]:
 
 def evaluate(u: UtilityFunction, r: float) -> float:
     """U(r) in [0, 1] for r >= 0."""
-    if r < 0:
+    if not _is_rate(r) or r < 0:
         raise ValueError(f"rate must be >= 0, got {r}")
     fam, q1, q2 = unpack(u)
     return kernels.eval_utility(fam, q1, q2, r)
@@ -112,7 +121,7 @@ def evaluate(u: UtilityFunction, r: float) -> float:
 
 def log_utility(u: UtilityFunction, r: float) -> float:
     """log U(r); -inf at r = 0 (log family unclamped past r_max)."""
-    if r < 0:
+    if not _is_rate(r) or r < 0:
         raise ValueError(f"rate must be >= 0, got {r}")
     fam, q1, q2 = unpack(u)
     return kernels.log_utility(fam, q1, q2, r)
@@ -120,7 +129,7 @@ def log_utility(u: UtilityFunction, r: float) -> float:
 
 def log_marginal(u: UtilityFunction, r: float) -> float:
     """U'(r)/U(r) for r > 0; strictly decreasing with limit +inf at 0."""
-    if r <= 0:
+    if not _is_rate(r) or r <= 0:
         raise ValueError(f"log_marginal needs r > 0, got {r}")
     fam, q1, q2 = unpack(u)
     return kernels.log_marginal(fam, q1, q2, r)
@@ -141,9 +150,9 @@ def inverse_log_marginal(
     clipped to the cap when it lies above r_cap (cap binds) and to the floor
     when it lies below eps_r. ``tol_r`` and ``max_iters`` are ignored.
     """
-    if not (math.isfinite(price) and price > 0):
+    if not (_is_number(price) and price > 0):
         raise ValueError(f"price must be finite and > 0, got {price!r}")
-    if not (math.isfinite(r_cap) and r_cap > 0):
+    if not (_is_number(r_cap) and r_cap > 0):
         raise ValueError(f"r_cap must be finite and > 0, got {r_cap!r}")
     fam, q1, q2 = unpack(u)
     return kernels.inverse_log_marginal(
@@ -166,11 +175,11 @@ def net_benefit_maximizer(
     The offset shifts the uncapped solution: with x* the inverse
     log-marginal at the price, the result is max(0, x* - offset).
     """
-    if not (math.isfinite(price) and price > 0):
+    if not (_is_number(price) and price > 0):
         raise ValueError(f"price must be finite and > 0, got {price!r}")
-    if not (math.isfinite(offset) and offset >= 0):
+    if not (_is_number(offset) and offset >= 0):
         raise ValueError(f"offset must be >= 0, got {offset!r}")
-    if not (math.isfinite(r_cap) and r_cap > 0):
+    if not (_is_number(r_cap) and r_cap > 0):
         raise ValueError(f"r_cap must be finite and > 0, got {r_cap!r}")
     fam, q1, q2 = unpack(u)
     return kernels.net_benefit(

@@ -188,6 +188,29 @@ class TestDualAscentMechanics:
         with pytest.raises(ValueError, match="capacity"):
             dual_ascent([(1, u, 0.0)], 0.0)
 
+    @pytest.mark.parametrize("capacity", [10**400, True, math.inf, math.nan],
+                             ids=["1e400", "True", "inf", "nan"])
+    def test_rejects_capacity_that_is_no_float(self, capacity):
+        # an int beyond the float range raised OverflowError, and True
+        # solved at capacity 1
+        u = Logarithmic(k=3.0, r_max=100.0)
+        with pytest.raises(ValueError, match="capacity"):
+            dual_ascent([(1, u, 0.0)], capacity)
+        with pytest.raises(ValueError, match="capacity"):
+            offered_price([(1, u)], capacity)
+
+    @pytest.mark.parametrize("offset", [10**400, True, False, math.inf, math.nan],
+                             ids=["1e400", "True", "False", "inf", "nan"])
+    def test_rejects_offset_that_is_no_float(self, offset):
+        u = Logarithmic(k=3.0, r_max=100.0)
+        with pytest.raises(ValueError, match="offset"):
+            dual_ascent([(1, u, 0.0), (2, u, offset)], 10.0)
+
+    def test_int_capacity_and_offsets_solve_as_floats(self):
+        u = Logarithmic(k=3.0, r_max=100.0)
+        assert dual_ascent([(1, u, 0), (2, u, 2)], 10) == \
+            dual_ascent([(1, u, 0.0), (2, u, 2.0)], 10.0)
+
 
 class TestProbeCounts:
     """Solves that Illinois regula falsi stretched to one bit per probe."""
@@ -278,10 +301,17 @@ class TestKernelCalls:
     def test_covered_users_cost_one_call_per_solve(self, monkeypatch):
         # 3 users without offsets clear the capacity near p = 0.03; the other
         # 12 hold offsets that their responses fall below at every probed
-        # price, so after one confirming call each they cost no calls
+        # price, so after one confirming response each they cost none. A
+        # call is a row whose response the kernel computes: one whose
+        # skip_from, its last field, lies above the price.
         calls = []
-        real = kernels.response
-        monkeypatch.setattr(kernels, "response", lambda *a: calls.append(a) or real(*a))
+        real = kernels.net_rates
+
+        def counting(table, price, eps_r):
+            calls.extend(row for row in table if price < row[-1])
+            return real(table, price, eps_r)
+
+        monkeypatch.setattr(kernels, "net_rates", counting)
         free = [(uid, Logarithmic(k=3.0, r_max=100.0), 0.0) for uid in (1, 2, 3)]
         covered = [(uid, Logarithmic(k=0.5 + uid, r_max=100.0), 1e4) for uid in range(4, 10)]
         covered += [(uid, Sigmoidal(a=1.0 + 0.5 * uid, b=20.0), 60.0) for uid in range(10, 16)]
@@ -289,6 +319,17 @@ class TestKernelCalls:
         assert res.converged
         assert all(res.rates[uid] == 0.0 for uid, _, _ in covered)
         assert len(calls) <= len(free) * res.iterations + len(covered)
+
+    def test_kernel_skips_rows_priced_out(self):
+        # a row at or above its skip_from is 0.0 without a response: this
+        # one's q1 of None would raise TypeError in any response
+        row = (kernels.LOGARITHMIC, None, None, 0.0, 0.0, 0.0, 200.0, 5.0, 0.5)
+        free = (kernels.LOGARITHMIC, 3.0, 100.0, 0.0, 0.0, 0.0, 200.0, 0.0, math.inf)
+        assert kernels.net_rates((row, free, row), 0.5, 1e-9) == \
+            (0.0, kernels.net_benefit(kernels.LOGARITHMIC, 3.0, 100.0, 0.5, 0.0,
+                                      200.0, 1e-9, 1e-9, 200), 0.0)
+        with pytest.raises(TypeError):
+            kernels.net_rates((row,), 0.25, 1e-9)
 
 
 class TestOfferedPrice:

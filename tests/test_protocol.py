@@ -215,21 +215,18 @@ class TestOneCarrierOrder:
             assert report.offsets[1][uid] == report.rates[2][uid]
 
     @pytest.mark.parametrize("scenario", SECTION5_POINTS + [RING])
-    def test_each_user_orders_its_coverage_by_price_then_id(self, monkeypatch,
-                                                            scenario):
-        orders = {}
-        record_rate = protocol.ue.record_rate
-
-        def recording(state, carrier_id, rate):
-            orders[state.user_id] = state.carrier_order
-            record_rate(state, carrier_id, rate)
-
-        monkeypatch.setattr(protocol.ue, "record_rate", recording)
-        prices = run(scenario).offered_prices
-        assert orders == {
-            u.id: tuple(sorted(u.coverage, key=lambda c: (prices[c], c)))
-            for u in scenario.users
-        }
+    def test_each_user_orders_its_coverage_by_price_then_id(self, scenario):
+        # Seen from the report alone: each offset is the sum of the user's
+        # rates from the carriers before it in (offered price, id) order, and
+        # the aggregate the sum of all of them, to the bit and in that order.
+        report = run(scenario)
+        prices = report.offered_prices
+        for u in scenario.users:
+            order = sorted(u.coverage, key=lambda c: (prices[c], c))
+            rates = [report.rates[c][u.id] for c in order]
+            for k, cid in enumerate(order):
+                assert report.offsets[cid][u.id] == float(sum(rates[:k]))
+            assert report.aggregates[u.id] == sum(rates)
 
 
 @pytest.fixture
@@ -291,6 +288,30 @@ class TestSolveReuse:
         run(scenario)
         assert solve_calls == first
         assert [phase for phase, _ in first] == ["discovery", "discovery", "allocation"]
+
+    def test_store_is_bound_to_the_users_tuple(self, solve_calls):
+        # Same ids and capacities, but user 4 has another utility: the store
+        # keys solves on ids and offsets, so it must not serve the first
+        # point's solves to the second.
+        first = two_carrier_nine_user(80.0, 100.0)
+        users = tuple(
+            UserSpec(u.id, Logarithmic(k=7.0, r_max=100.0), u.coverage)
+            if u.id == 4 else u
+            for u in first.users
+        )
+        second = Scenario(carriers=first.carriers, users=users)
+        with protocol._reuse_between_points():
+            run(first)
+            solve_calls.clear()
+            report = run(second)
+        assert len(solve_calls) == 3
+        assert report == run(second)
+        assert report != run(first)
+
+    def test_with_capacity_keeps_the_users_tuple(self):
+        # which is what lets the points of a sweep share their solves
+        scenario = two_carrier_nine_user()
+        assert with_capacity(scenario, 1, 60.0).users is scenario.users
 
     def test_sweep_reuses_only_the_previous_point(self, solve_calls):
         sweep(two_carrier_nine_user(), 1, [60.0, 90.0, 60.0])

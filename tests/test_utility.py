@@ -246,6 +246,42 @@ class TestNetBenefitMaximizer:
             net_benefit_maximizer(Sigmoidal(a=5.0, b=10.0), 1.0, -0.5, 100.0)
 
 
+BEYOND_FLOATS = 10**400
+
+
+class TestArgumentsThatAreNoFloats:
+    """An int beyond the float range raised OverflowError; bools passed as 0 and 1."""
+
+    @pytest.mark.parametrize("u", ALL_UTILITIES[::3], ids=UTILITY_IDS[::3])
+    @pytest.mark.parametrize("bad", [BEYOND_FLOATS, True], ids=["1e400", "True"])
+    def test_solver_queries_raise_value_error(self, u, bad):
+        with pytest.raises(ValueError, match="price"):
+            inverse_log_marginal(u, bad, 100.0)
+        with pytest.raises(ValueError, match="r_cap"):
+            inverse_log_marginal(u, 0.1, bad)
+        with pytest.raises(ValueError, match="price"):
+            net_benefit_maximizer(u, bad, 0.0, 100.0)
+        with pytest.raises(ValueError, match="offset"):
+            net_benefit_maximizer(u, 0.1, bad, 100.0)
+        with pytest.raises(ValueError, match="r_cap"):
+            net_benefit_maximizer(u, 0.1, 0.0, bad)
+
+    @pytest.mark.parametrize("u", ALL_UTILITIES[::3], ids=UTILITY_IDS[::3])
+    @pytest.mark.parametrize("bad", [BEYOND_FLOATS, True, False],
+                             ids=["1e400", "True", "False"])
+    def test_curves_raise_value_error(self, u, bad):
+        for curve in (evaluate, log_utility, log_marginal):
+            with pytest.raises(ValueError):
+                curve(u, bad)
+
+    @pytest.mark.parametrize("u", ALL_UTILITIES[::3], ids=UTILITY_IDS[::3])
+    def test_ints_and_infinite_rates_still_pass(self, u):
+        assert evaluate(u, 10) == evaluate(u, 10.0)
+        assert log_marginal(u, 10) == log_marginal(u, 10.0)
+        assert evaluate(u, math.inf) == 1.0
+        assert log_marginal(u, math.inf) == 0.0
+
+
 def test_reimport_releases_old_utility_classes():
     # A benchmark re-imports the package after every pass; a process-wide
     # cache holding the old classes (typing.Union's does) would keep every
