@@ -25,16 +25,16 @@ Jarratt 1971); pushes a probe that falls next to the end just replaced
 just far enough past it that, if it lands across the root, the two
 certify every rate; and falls back to the midpoint in x.
 
-The solve forms each user's response constants once, into a user table,
-and each probe is one call of the kernels' ``net_rates`` over that table,
-which computes a response for each user that the price can still move. A
-user holding an offset c answers exactly 0 at every price above its zero
-price, where its response falls below c. In the allocation phase many
-users' offsets cover their demand at most of the prices probed, so above
-a user's zero price the kernel writes its 0.0 without computing the
-response. The zero price comes from the log-marginal at c and is confirmed
-by one response per solve, so the rates keep the bits that a response
-would give (see ``_skip_from``).
+The solve copies each user's response constants, which its utility forms
+once at construction, into a user table, and each probe is one call of the
+kernels' ``net_rates`` over that table, which computes a response for each
+user that the price can still move. A user holding an offset c answers
+exactly 0 at every price above its zero price, where its response falls
+below c. In the allocation phase many users' offsets cover their demand
+at most of the prices probed, so above a user's zero price the kernel
+writes its 0.0 without computing the response. The zero price comes from
+the log-marginal at c and is confirmed by one response per solve, so the
+rates keep the bits that a response would give (see ``_skip_from``).
 
 Each probe is one trace step, which stores the posted price and the rates;
 the bids p * r_j are derived from them on demand rather than stored.
@@ -57,7 +57,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from . import _kernels_py as kernels
 from .model import SolverParams
-from .utility import Logarithmic, UtilityFunction, _is_number, unpack
+from .utility import Logarithmic, UtilityFunction, _is_number
 
 Entry = tuple[int, UtilityFunction, float]
 
@@ -343,13 +343,15 @@ def _skip_from(
     and put z where the rate is still positive. The response is monotone
     in the price only to a few ulps, so the skip starts ZERO_MARGIN above
     z, where the response has fallen by far more than that.
+
+    The solve calls this only for c > 0. At c = 0 the log-marginal, and so
+    z, is inf, and the result is inf too.
     """
-    if c > 0.0:
-        z = kernels.log_marginal(fam, q1, q2, c) * (1.0 + ZERO_MARGIN)
-        if 0.0 < z < math.inf and (
-            kernels.response(fam, q1, q2, d, ad, omd, z, x_cap, eps_r) <= c
-        ):
-            return z * (1.0 + ZERO_MARGIN)
+    z = kernels.log_marginal(fam, q1, q2, c) * (1.0 + ZERO_MARGIN)
+    if 0.0 < z < math.inf and (
+        kernels.response(fam, q1, q2, d, ad, omd, z, x_cap, eps_r) <= c
+    ):
+        return z * (1.0 + ZERO_MARGIN)
     return math.inf
 
 
@@ -372,8 +374,11 @@ def dual_ascent(
     interpolates, and narrows beside one in ln|p - a| (see
     ``_clear_market``).
 
-    Each probe costs one kernel call, which computes one response per user
-    that the probe can still move.
+    The solve reads each utility's kernel row and plateau, which the
+    utility formed once at construction (see ``utility``), so a user costs
+    no per-solve work beyond its cap, its offset and, for a positive
+    offset, its zero price. Each probe costs one kernel call, which
+    computes one response per user that the probe can still move.
     A user with a positive offset is skipped, its rate set to 0.0, at
     probes above its zero price, past which its response stays below its
     offset (see ``_skip_from``); finding the zero price costs one response
@@ -399,27 +404,30 @@ def dual_ascent(
 
     capacity = float(capacity)
     rate_cap = rate_cap_for(entries, capacity, params)
-    # Each user's response constants, cap and the price from which its
-    # response is skipped, formed once for all probes, and each sigmoid's
-    # plateau price a with the core a*sqrt(d) around it within which its
-    # response no longer goes as ln|p - a|.
+    # Each user's table row, formed once for all probes: the utility's
+    # kernel row with its cap, offset and the price from which its response
+    # is skipped. And each sigmoid's plateau price a, with the widest core
+    # a*sqrt(d) around it within which a response no longer goes as ln|p - a|.
     eps_r, tol_r = params.eps_r, params.tol_r
     users = []
     plateaus: dict[float, float] = {}
     for uid, u, c in entries:
-        fam, q1, q2 = unpack(u)
+        try:
+            row = u._row
+        except AttributeError:
+            raise TypeError(f"not a utility function: {u!r}") from None
         # comparisons, not _is_number: no call per user, and no float() of
         # an int beyond the float range, which would raise OverflowError
         if c is True or c is False or not 0.0 <= c <= _P_MAX:
             raise ValueError(f"user {uid}: offset must be >= 0, got {c!r}")
         c = float(c)
-        d, ad, omd = kernels.response_constants(fam, q1, q2)
         x_cap = rate_cap + c
-        skip_from = _skip_from(fam, q1, q2, d, ad, omd, x_cap, c, eps_r)
-        users.append((fam, q1, q2, d, ad, omd, x_cap, c, skip_from))
-        if fam == kernels.SIGMOIDAL:
-            a = float(q1)
-            plateaus[a] = max(plateaus.get(a, 0.0), a * math.sqrt(d))
+        skip_from = _skip_from(*row, x_cap, c, eps_r) if c > 0.0 else math.inf
+        users.append(row + (x_cap, c, skip_from))
+        plateau = u._plateau
+        if plateau is not None:
+            a, core = plateau
+            plateaus[a] = max(plateaus.get(a, 0.0), core)
 
     net_rates = kernels.net_rates
     steps: list[TraceStep] = []

@@ -10,7 +10,7 @@ dimensionless rate-units throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -48,16 +48,14 @@ class Scenario:
         object.__setattr__(self, "carriers", tuple(self.carriers))
         object.__setattr__(self, "users", tuple(self.users))
         _validate_scenario(self)
-        # Lookup indexes, set as plain attributes rather than fields so
-        # that ==, hash and repr see only the carriers and the users.
         covered: dict[int, list[int]] = {c.id: [] for c in self.carriers}
         for u in self.users:
             for cid in u.coverage:
                 covered[cid].append(u.id)
-        object.__setattr__(self, "_carrier_index", {c.id: c for c in self.carriers})
-        object.__setattr__(self, "_user_index", {u.id: u for u in self.users})
-        object.__setattr__(
-            self, "_covered_index", {cid: tuple(ids) for cid, ids in covered.items()}
+        _set_indexes(
+            self,
+            {u.id: u for u in self.users},
+            {cid: tuple(ids) for cid, ids in covered.items()},
         )
 
     def carrier_ids(self) -> tuple[int, ...]:
@@ -130,6 +128,20 @@ class SolverParams:
             _is_number(self.rate_cap) and self.rate_cap > 0
         ):
             raise ValueError(f"rate_cap must be None or > 0, got {self.rate_cap!r}")
+
+
+def _set_indexes(s: Scenario, user_index: dict, covered_index: dict) -> None:
+    """Give ``s`` its lookup indexes: carriers by id, from ``s.carriers``, and
+    the given users by id and covered user ids by carrier id.
+
+    They are plain attributes rather than fields, so that ==, hash and repr
+    see only the carriers and the users. The dicts are private and never
+    mutated after they are built, so ``with_capacity`` shares the two that
+    a capacity cannot change between a scenario and its copies.
+    """
+    object.__setattr__(s, "_carrier_index", {c.id: c for c in s.carriers})
+    object.__setattr__(s, "_user_index", user_index)
+    object.__setattr__(s, "_covered_index", covered_index)
 
 
 def _validate_scenario(s: Scenario) -> None:
@@ -287,14 +299,30 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 
 
 def with_capacity(s: Scenario, carrier_id: int, capacity: float) -> Scenario:
-    """Copy of the scenario with one carrier's capacity replaced."""
-    if carrier_id not in s.carrier_ids():
+    """Copy of the scenario with one carrier's capacity replaced by float(capacity).
+
+    Only the carrier and the new capacity are validated: the capacity must
+    be a finite number > 0, and bools and ints beyond the float range are
+    not numbers here. A capacity changes none of the rest, which ``s``
+    already validated, so the copy keeps ``s.users`` (the same object) and
+    its user and coverage indexes, and rebuilds only its carriers and their
+    index. It equals, and answers every lookup as, a Scenario built afresh
+    from the new carriers and ``s.users``.
+    """
+    if carrier_id not in s._carrier_index:
         raise ScenarioError(f"no carrier with id {carrier_id}")
-    carriers = tuple(
-        replace(c, capacity=float(capacity)) if c.id == carrier_id else c
-        for c in s.carriers
-    )
-    return Scenario(carriers=carriers, users=s.users)
+    if not (_is_number(capacity) and capacity > 0):
+        raise ScenarioError(
+            f"carrier {carrier_id}: capacity must be > 0, got {capacity!r}"
+        )
+    capacity = float(capacity)
+    out = object.__new__(Scenario)
+    object.__setattr__(out, "carriers", tuple(
+        CarrierSpec(c.id, capacity) if c.id == carrier_id else c for c in s.carriers
+    ))
+    object.__setattr__(out, "users", s.users)
+    _set_indexes(out, s._user_index, s._covered_index)
+    return out
 
 
 def two_carrier_nine_user(r1: float = 100.0, r2: float = 100.0) -> Scenario:

@@ -249,13 +249,13 @@ def sweep(
 
     Each point may reuse the previous point's solves where their inputs are
     equal, such as the discovery solves of the other carriers; every report
-    equals ``run`` on that point alone.
+    equals ``run`` on that point alone. A capacity that is not a finite
+    number > 0, a bool or an int beyond the float range among them, raises
+    ScenarioError from ``with_capacity`` when its point comes up.
     """
     out = []
     with _reuse_between_points():
         for cap in capacities:
-            if not cap > 0:
-                raise ValueError(f"capacities must be > 0, got {cap!r}")
             try:
                 report = run(with_capacity(scenario, carrier_id, cap), params)
             except ProtocolError as e:

@@ -14,10 +14,23 @@ invert in closed form: the sigmoid's crossing solves a quadratic in the
 sigmoid value, and the log curve's is a Lambert-W value, refined by a few
 Newton steps to float64 resolution. ``_kernels_py`` does the numeric work,
 on each utility's family code and two parameters.
+
+Each utility forms its kernel row once, at construction: (family code,
+q1, q2) as ``unpack`` gives them, followed by the sigmoid's constants
+(d, a*d, 1 - d) as ``_kernels_py.response_constants`` gives them (zeros for
+the log family). A sigmoid also forms its plateau (float(a), a*sqrt(d)):
+the price a at which its response is log-singular, and the width of the
+core around a within which the response levels off. The carrier solve
+reads both for every user it covers, so it forms none of them per solve.
+They are plain attributes rather than fields: ==, hash, repr and
+``dataclasses.fields`` see the parameters alone, a pickle or copy holds
+only the parameters and rebuilds the row from them, and
+``dataclasses.replace`` forms a new one.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -76,6 +89,16 @@ class Sigmoidal:
             raise ValueError(f"sigmoidal steepness a must be > 0, got {self.a!r}")
         if not (_is_number(self.b) and self.b > 0):
             raise ValueError(f"sigmoidal inflection b must be > 0, got {self.b!r}")
+        # The constants from float parameters: they give the bits that int
+        # ones give wherever the int product a*b is within the float range,
+        # and no OverflowError beyond it.
+        a, b = float(self.a), float(self.b)
+        d, ad, omd = kernels.response_constants(kernels.SIGMOIDAL, a, b)
+        object.__setattr__(self, "_row", (kernels.SIGMOIDAL, self.a, self.b, d, ad, omd))
+        object.__setattr__(self, "_plateau", (a, a * math.sqrt(d)))
+
+    def __reduce__(self):
+        return type(self), (self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -95,6 +118,12 @@ class Logarithmic:
             raise ValueError(f"logarithmic slope k must be > 0, got {self.k!r}")
         if not (_is_number(self.r_max) and self.r_max > 0):
             raise ValueError(f"logarithmic r_max must be > 0, got {self.r_max!r}")
+        row = (kernels.LOGARITHMIC, self.k, self.r_max)
+        object.__setattr__(self, "_row", row + kernels.response_constants(*row))
+        object.__setattr__(self, "_plateau", None)
+
+    def __reduce__(self):
+        return type(self), (self.k, self.r_max)
 
 
 # A types.UnionType, not typing.Union: typing caches its unions process-wide,

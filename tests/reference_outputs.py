@@ -8,10 +8,22 @@ carrier id, [offered price, allocation price, sum of its rates, largest
 rate]. The scenarios are the paper's section-5 sweep, R1 = 50 ... 200 in
 steps of 1, and the benchmark's wide and many ring scenarios, seeds 0-1.
 A regeneration changes test data: say what moved, and why, in CHANGES.md.
+
+    PYTHONPATH=src python tests/reference_outputs.py --digest
+
+writes nothing. It prints one line per scenario, in the file's order: the
+sha256 of the ``repr`` of the scenario's full ``run`` report (prices,
+rates, offsets, aggregates, traces and order), two spaces, and the
+scenario's name. Two checkouts give bit-identical reports when the two
+printouts are equal. Run both with one interpreter: from Python 3.12 on,
+``sum`` of floats is compensated, so some many-carriers aggregates differ
+in the last bit between 3.11 and 3.12+, and so do their digests.
 """
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
 import math
 import random
@@ -111,7 +123,22 @@ def summarize(scenario: Scenario) -> dict:
     }
 
 
-def main() -> None:
+def digest(scenario: Scenario) -> str:
+    """sha256 of the repr of the scenario's full ``run`` report."""
+    return hashlib.sha256(repr(run(scenario)).encode()).hexdigest()
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument(
+        "--digest", action="store_true",
+        help="print a digest of each full report instead of writing the file",
+    )
+    args = parser.parse_args(argv)
+    if args.digest:
+        for name, scenario in scenarios():
+            print(f"{digest(scenario)}  {name}")
+        return
     lines = [
         f"{json.dumps(name)}: {json.dumps(summarize(scenario), separators=(',', ':'))}"
         for name, scenario in scenarios()

@@ -1,6 +1,8 @@
 """Scenario model: validation, JSON round trips, and the built-in preset."""
 
 import json
+import math
+import re
 import sys
 
 import pytest
@@ -130,6 +132,21 @@ class TestScenarioConsistency:
     def test_with_capacity_unknown_carrier(self):
         with pytest.raises(ScenarioError, match="no carrier with id 7"):
             with_capacity(two_carrier_nine_user(), 7, 50.0)
+
+    @pytest.mark.parametrize(
+        "capacity",
+        [True, False, 10**400, -10**400, -1, 0, 0.0, -2.5, math.inf, math.nan, "60"],
+        ids=["True", "False", "1e400", "-1e400", "-1", "0", "0.0", "-2.5", "inf", "nan",
+             "str"],
+    )
+    def test_with_capacity_rejects_what_is_no_positive_number(self, capacity):
+        # True was taken as 1.0 and 10**400 raised OverflowError; the message
+        # shows the value as given, -1 and not -1.0
+        s = two_carrier_nine_user()
+        want = f"carrier 1: capacity must be > 0, got {capacity!r}"
+        with pytest.raises(ScenarioError, match=re.escape(want) + "$"):
+            with_capacity(s, 1, capacity)
+        assert s.carrier(1).capacity == 100.0
 
 
 class TestPreset:

@@ -6,7 +6,10 @@ from e^-708 to e^708, and for monotonicity in the price. The sigmoid
 parameters reach a*b past 745, where the normalizer d is subnormal or zero
 in float64. A scenario's indexed lookups are checked against linear scans
 of its carriers and users, over random valid scenarios and the copies that
-``with_capacity``, ``dataclasses.replace`` and a JSON round trip make. A
+``with_capacity``, ``dataclasses.replace`` and a JSON round trip make, and
+``with_capacity`` gives the scenario that a fresh build of its carriers
+gives. Each utility's kernel row, formed at construction, is its kernel
+encoding, and ==, hash, repr, pickling and copies see its parameters alone. A
 carrier solve that reports convergence is checked against its own trace:
 two of its probes bracket the capacity and certify the returned rates.
 ``run`` on random scenarios of up to 4 carriers gives the same report, bit
@@ -25,8 +28,10 @@ from the carriers before it in its price order.
 Examples are derandomized, so every run draws the same ones.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import struct
 import sys
@@ -177,6 +182,41 @@ def test_scenario_copies_keep_lookups_correct(s, data):
     assert_lookups_match_linear_scans(round_trip)
 
 
+positive_capacities = st.one_of(
+    st.floats(0.0, sys.float_info.max, exclude_min=True),
+    st.integers(1, int(sys.float_info.max)),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(s=scenarios(), data=st.data())
+def test_with_capacity_equals_a_fresh_build(s, data):
+    cid = data.draw(st.sampled_from(s.carrier_ids()))
+    capacity = data.draw(positive_capacities)
+    old = s.carrier(cid).capacity
+    resized = with_capacity(s, cid, capacity)
+    fresh = Scenario(
+        carriers=tuple(
+            dataclasses.replace(c, capacity=float(capacity)) if c.id == cid else c
+            for c in s.carriers
+        ),
+        users=s.users,
+    )
+    assert resized == fresh
+    assert hash(resized) == hash(fresh)
+    assert repr(resized) == repr(fresh)
+    assert resized.carrier_ids() == fresh.carrier_ids()
+    assert resized.user_ids() == fresh.user_ids()
+    for c in s.carriers:
+        assert resized.carrier(c.id) == fresh.carrier(c.id)
+        assert resized.covered_users(c.id) == fresh.covered_users(c.id)
+    for u in s.users:
+        assert resized.user(u.id) is fresh.user(u.id)
+    assert_lookups_match_linear_scans(resized)
+    assert s.carrier(cid).capacity == old
+    assert next(c for c in s.carriers if c.id == cid).capacity == old
+
+
 # Sigmoids with a*b > 75 put a plateau in demand: their response is
 # log-singular at the price a, and demand jumps across it within a few ulps.
 plateau_sigmoids = st.builds(
@@ -184,6 +224,50 @@ plateau_sigmoids = st.builds(
 )
 solve_utilities = st.one_of(sigmoids, plateau_sigmoids, logs)
 offsets = st.one_of(st.just(0.0), log_uniform(-3.0, 2.0))
+
+
+def kernel_row(u):
+    fam, q1, q2 = unpack(u)
+    return (fam, q1, q2) + kernels.response_constants(fam, q1, q2)
+
+
+def assert_row_matches_parameters(u):
+    # repr tells an int from a float and keeps every bit of a float
+    assert repr(u._row) == repr(kernel_row(u))
+    if isinstance(u, Sigmoidal):
+        a = float(u.a)
+        assert repr(u._plateau) == repr((a, a * math.sqrt(kernel_row(u)[3])))
+    else:
+        assert u._plateau is None
+
+
+# Int parameters, alone or beside a float one.
+int_utilities = st.one_of(
+    st.builds(Sigmoidal, a=st.integers(1, 60),
+              b=st.one_of(st.integers(1, 10**4), log_uniform(-1.3, 3.3))),
+    st.builds(Logarithmic, k=st.integers(1, 10**3), r_max=st.integers(1, 10**6)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(u=st.one_of(utilities, plateau_sigmoids, int_utilities), factor=st.integers(2, 5))
+def test_utility_row_is_its_kernel_encoding(u, factor):
+    assert_row_matches_parameters(u)
+    names = [f.name for f in dataclasses.fields(u)]
+    assert names == (["a", "b"] if isinstance(u, Sigmoidal) else ["k", "r_max"])
+    params = tuple(getattr(u, n) for n in names)
+    assert repr(u) == f"{type(u).__name__}({names[0]}={params[0]!r}, {names[1]}={params[1]!r})"
+    assert hash(u) == hash(params)
+    twin = type(u)(*params)
+    assert twin == u and hash(twin) == hash(u)
+    assert b"_row" not in pickle.dumps(u)
+    for copied in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u), copy.copy(u),
+                   dataclasses.replace(u)):
+        assert copied == u
+        assert_row_matches_parameters(copied)
+    scaled = dataclasses.replace(u, **{names[1]: params[1] * factor})
+    assert scaled != u
+    assert_row_matches_parameters(scaled)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

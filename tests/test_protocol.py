@@ -1,6 +1,7 @@
 """End-to-end protocol: phases, ordering, conservation, failure paths."""
 
 import math
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from carrieralloc import (
     Logarithmic,
     ProtocolError,
     Scenario,
+    ScenarioError,
     Sigmoidal,
     SolverParams,
     UserSpec,
@@ -144,6 +146,12 @@ class TestSweep:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             sweep(two_carrier_nine_user(), 1, [0.0])
+
+    @pytest.mark.parametrize("capacity", [True, 10**400, -1], ids=["True", "1e400", "-1"])
+    def test_rejects_what_is_no_positive_number(self, capacity):
+        # True ran a point at 1.0, and 10**400 raised OverflowError
+        with pytest.raises(ScenarioError, match=re.escape(f"got {capacity!r}") + "$"):
+            sweep(two_carrier_nine_user(), 1, [60.0, capacity])
 
 
 class TestThreeCarrierChain:

@@ -3,13 +3,15 @@
 The order must be equal, prices within 1e-10 relative, and the rate sums
 and largest rates within 1e-8: loose enough for the last-bit moves of a
 solver change, tight enough to catch a flipped carrier order or any move
-above 1e-8. Regenerate the file with ``tests/reference_outputs.py``.
+above 1e-8. Regenerate the file with ``tests/reference_outputs.py``. Its
+``--digest`` mode prints a line per scenario and leaves the file as it is.
 """
 
 import json
 import math
+import re
 
-from reference_outputs import REFERENCE, scenarios, summarize
+from reference_outputs import REFERENCE, digest, main, scenarios, summarize
 
 PRICE_REL_TOL = 1e-10
 RATE_ABS_TOL = 1e-8
@@ -37,3 +39,15 @@ def test_outputs_match_the_reference():
                     moved.append(f"{name}: carrier {cid} {what} {g!r} != {w!r}")
     assert names == list(reference)
     assert not moved, "\n".join(moved[:20])
+
+
+def test_digest_mode_prints_one_line_per_scenario(capsys):
+    before = REFERENCE.read_bytes()
+    main(["--digest"])
+    lines = capsys.readouterr().out.splitlines()
+    named = list(scenarios())
+    assert len(lines) == len(named)
+    for line, (name, _) in zip(lines, named):
+        assert re.fullmatch(r"[0-9a-f]{64}  " + re.escape(name), line), line
+    assert lines[0].split()[0] == digest(named[0][1])
+    assert REFERENCE.read_bytes() == before
