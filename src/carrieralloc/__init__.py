@@ -4,7 +4,8 @@ Carriers discover shadow prices for their capacity by root-finding the
 price at which their coverage set's demand fills it; users order in-range
 carriers by price and collect rates one carrier at a time, with
 already-received rates entering the next carrier's solve as offsets. The
-numeric kernels are plain Python, in ``_kernels_py``.
+numeric kernels are plain Python, in ``_kernels_py``. The paper's clamped
+bid iteration stays there, unexported: no solve runs it.
 """
 
 from .enodeb import (
@@ -12,7 +13,6 @@ from .enodeb import (
     DualAscentResult,
     TraceStep,
     dual_ascent,
-    fluctuation_clamp,
     offered_price,
     rate_cap_for,
 )
@@ -40,7 +40,7 @@ from .oracle import (
     solve_centralized,
 )
 from .protocol import AllocationReport, run, sweep
-from .ue import UeState, next_flag, order_carriers, record_rate
+from .ue import order_carriers
 from .utility import (
     EPS_RATE,
     TOL_RATE,
@@ -81,25 +81,21 @@ __all__ = [
     "SolverParams",
     "TOL_RATE",
     "TraceStep",
-    "UeState",
     "UserSpec",
     "UtilityFunction",
     "backend_name",
     "compare",
     "dual_ascent",
     "evaluate",
-    "fluctuation_clamp",
     "inverse_log_marginal",
     "load_scenario",
     "log_marginal",
     "log_utility",
     "net_benefit_maximizer",
-    "next_flag",
     "offered_price",
     "order_carriers",
     "parse_scenario",
     "rate_cap_for",
-    "record_rate",
     "run",
     "serialize_scenario",
     "solve_centralized",

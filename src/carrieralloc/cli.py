@@ -90,15 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a carrier capacity; repeatable",
     )
     common.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    common.add_argument("--delta", type=float, default=None,
-                        help="bid-change threshold of the paper's clamped "
-                             "iteration, which the solve does not run")
-    common.add_argument("--l1", type=float, default=None,
-                        help="bid clamp amplitude of the paper's clamped "
-                             "iteration, which the solve does not run")
-    common.add_argument("--l2", type=float, default=None,
-                        help="bid clamp decay length (iterations) of the paper's "
-                             "clamped iteration, which the solve does not run")
     common.add_argument("--max-iters", type=int, default=None,
                         help="cap on the price probes of each carrier solve")
     common.add_argument("-v", "--verbose", action="count", default=0,
@@ -119,16 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_params(args) -> model.SolverParams:
-    overrides = {}
-    if args.delta is not None:
-        overrides["delta"] = args.delta
-    if args.l1 is not None:
-        overrides["l1"] = args.l1
-    if args.l2 is not None:
-        overrides["l2"] = args.l2
-    if args.max_iters is not None:
-        overrides["max_outer_iters"] = args.max_iters
-    return model.SolverParams(**overrides)
+    if args.max_iters is None:
+        return model.SolverParams()
+    return model.SolverParams(max_outer_iters=args.max_iters)
 
 
 def _load_scenario(args) -> model.Scenario:

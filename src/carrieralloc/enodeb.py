@@ -39,11 +39,10 @@ rates keep the bits that a response would give (see ``_skip_from``).
 Each probe is one trace step, which stores the posted price and the rates;
 the bids p * r_j are derived from them on demand rather than stored.
 
-The paper's own iteration stays in the kernels (``kernels.dual_ascent`` and
-``fluctuation_clamp``), but the solve no longer calls it. That iteration
-stops once the clamped bid change falls below delta, and the clamp's step
-l1 * e^(-n/l2) alone falls below delta after l2 * ln(l1/delta) iterations,
-wherever the bids are.
+The paper's own clamped bid iteration stays in the kernels
+(``kernels.dual_ascent`` and ``kernels.fluctuation_clamp``), but no solve
+runs it, and nothing here sets its threshold delta or its clamp l1, l2:
+they would change no result.
 """
 
 from __future__ import annotations
@@ -111,15 +110,6 @@ class DualAscentResult:
     trace: ConvergenceTrace
     iterations: int
     converged: bool
-
-
-def fluctuation_clamp(w_new: float, w_prev: float, n: int, l1: float, l2: float) -> float:
-    """Limit the bid update at iteration n to a step of l1 * e^(-n/l2)."""
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"iteration index must be an integer >= 1, got {n!r}")
-    if not (l1 > 0 and l2 > 0):
-        raise ValueError(f"decay parameters must be > 0, got l1={l1!r}, l2={l2!r}")
-    return kernels.fluctuation_clamp(w_new, w_prev, n, l1, l2)
 
 
 def rate_cap_for(

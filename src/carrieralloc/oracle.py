@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import OracleError
-from .utility import EPS_RATE, UtilityFunction, log_marginal, log_utility
+from .utility import EPS_RATE, UtilityFunction, _is_number, log_marginal, log_utility
 
 Entry = tuple[int, UtilityFunction, float]
 
@@ -37,10 +37,10 @@ class CentralizedInstance:
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise ValueError("entries must not be empty")
-        if not (math.isfinite(self.capacity) and self.capacity > 0):
+        if not (_is_number(self.capacity) and self.capacity > 0):
             raise ValueError(f"capacity must be > 0, got {self.capacity!r}")
         for uid, _, c in self.entries:
-            if not (math.isfinite(c) and c >= 0):
+            if not (_is_number(c) and c >= 0):
                 raise ValueError(f"user {uid}: offset must be >= 0, got {c!r}")
 
 

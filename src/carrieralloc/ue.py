@@ -7,10 +7,11 @@ received so far as the offset for that carrier's solve. When the order is
 exhausted the user is done and its aggregated rate is the sum of all
 received rates.
 
-``protocol.run`` calls only ``order_carriers``; it keeps the received
-rates and the offsets itself. ``UeState``, ``next_flag`` and
-``record_rate`` stay only because the benchmark's tracer
-(``perfbench/tracing.py``) patches them by name.
+``protocol.run`` calls only ``order_carriers``, the one name the package
+exports from here; it keeps the received rates and the offsets itself.
+``UeState``, ``next_flag`` and ``record_rate`` are not exported and stay
+only because the benchmark's tracer (``perfbench/tracing.py``) patches
+them by name.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import ProtocolError
+from .utility import _is_number
 
 
 def order_carriers(prices: Mapping[int, float]) -> tuple[int, ...]:
@@ -32,7 +34,7 @@ def order_carriers(prices: Mapping[int, float]) -> tuple[int, ...]:
     if not prices:
         raise ValueError("no carriers to order")
     for cid, p in prices.items():
-        if not math.isfinite(p):
+        if not _is_number(p):
             raise ValueError(f"carrier {cid}: price must be finite, got {p!r}")
     return tuple(sorted(prices, key=lambda cid: (prices[cid], cid)))
 

@@ -439,6 +439,21 @@ class TestParsing:
             run_cli(["run", "--out", "x"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--delta", "--l1", "--l2"])
+    def test_clamped_iteration_settings_are_not_options(self, tmp_path, capsys, flag):
+        # the solve never runs the paper's clamped iteration, so its
+        # settings are no options: a usage error, and absent from the help
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--preset", "section5", flag, "1e-3",
+                     "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--help"])
+        assert exc.value.code == 0
+        assert flag not in capsys.readouterr().out
+
     def test_sweep_values_inclusive(self):
         cid, values = cli._parse_sweep_spec("1=50:200:10")
         assert cid == 1

@@ -1,5 +1,6 @@
 """Scenario model: validation, JSON round trips, and the built-in preset."""
 
+import dataclasses
 import json
 import math
 import re
@@ -8,6 +9,8 @@ import sys
 import pytest
 
 from carrieralloc import (
+    EPS_RATE,
+    TOL_RATE,
     CarrierSpec,
     Logarithmic,
     Scenario,
@@ -176,14 +179,26 @@ class TestPreset:
 class TestSolverParams:
     def test_defaults(self):
         p = SolverParams()
-        assert p.delta == 1e-3
-        assert p.l1 == 5.0
-        assert p.l2 == 10.0
         assert p.max_outer_iters == 10_000
+        assert p.eps_r == EPS_RATE
+        assert p.tol_r == TOL_RATE
+        assert p.rate_cap is None
+
+    def test_fields_are_the_four_a_solve_reads(self):
+        names = [f.name for f in dataclasses.fields(SolverParams)]
+        assert names == ["max_outer_iters", "eps_r", "tol_r", "rate_cap"]
+
+    def test_clamped_iteration_settings_are_constants(self):
+        # read by the benchmark only; no solve runs the clamped iteration
+        p = SolverParams()
+        assert (p.delta, p.l1, p.l2, p.bisect_max_iters) == (1e-3, 5.0, 10.0, 200)
+        for name in ("delta", "l1", "l2", "bisect_max_iters"):
+            with pytest.raises(TypeError):
+                SolverParams(**{name: getattr(p, name)})
 
     @pytest.mark.parametrize("kwargs", [
-        {"delta": 0.0}, {"delta": -1.0}, {"l1": 0.0}, {"l2": -3.0},
-        {"max_outer_iters": 0}, {"delta": 1e-10},  # below tol_r
+        {"eps_r": 0.0}, {"eps_r": -1.0}, {"tol_r": 0.0}, {"tol_r": -3.0},
+        {"max_outer_iters": 0}, {"tol_r": math.nan},
         {"rate_cap": -5.0},
     ])
     def test_invalid_parameters(self, kwargs):
@@ -193,14 +208,14 @@ class TestSolverParams:
 
 @pytest.mark.parametrize("make", [
     lambda: SolverParams(max_outer_iters=True),
-    lambda: SolverParams(bisect_max_iters=True),
-    lambda: SolverParams(l1=True),
+    lambda: SolverParams(eps_r=True),
+    lambda: SolverParams(tol_r=True),
     lambda: SolverParams(rate_cap=True),
     lambda: Sigmoidal(True, 20.0),
     lambda: Sigmoidal(5.0, True),
     lambda: Logarithmic(True, 100.0),
     lambda: Logarithmic(15.0, True),
-], ids=["max_outer_iters", "bisect_max_iters", "l1", "rate_cap",
+], ids=["max_outer_iters", "eps_r", "tol_r", "rate_cap",
         "sigmoidal.a", "sigmoidal.b", "logarithmic.k", "logarithmic.r_max"])
 def test_bools_are_not_numbers(make):
     # as in the JSON loader: True would silently count as 1, so that
@@ -210,14 +225,14 @@ def test_bools_are_not_numbers(make):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: SolverParams(l1=10**400),
-    lambda: SolverParams(delta=-10**400),
+    lambda: SolverParams(eps_r=10**400),
+    lambda: SolverParams(tol_r=-10**400),
     lambda: SolverParams(rate_cap=10**400),
     lambda: Sigmoidal(10**400, 20.0),
     lambda: Sigmoidal(5.0, 10**400),
     lambda: Logarithmic(10**400, 100.0),
     lambda: Logarithmic(15.0, 10**400),
-], ids=["l1", "delta", "rate_cap",
+], ids=["eps_r", "tol_r", "rate_cap",
         "sigmoidal.a", "sigmoidal.b", "logarithmic.k", "logarithmic.r_max"])
 def test_ints_beyond_the_float_range_are_not_numbers(make):
     # math.isfinite would raise OverflowError on them, not a ValueError
@@ -236,7 +251,7 @@ def test_json_integer_beyond_the_float_range_rejected(field, value):
 def test_largest_float_and_an_int_equal_to_it_are_numbers():
     big = int(sys.float_info.max)
     assert Logarithmic(15.0, big).r_max == big
-    assert SolverParams(l1=sys.float_info.max).l1 == sys.float_info.max
+    assert SolverParams(eps_r=sys.float_info.max).eps_r == sys.float_info.max
 
 
 class TestDirectConstruction:

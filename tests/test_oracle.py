@@ -35,6 +35,28 @@ class TestProjection:
             assert sum(proj) <= 7.0 + 1e-12
 
 
+class TestInstanceValidation:
+    """An int beyond the float range raised OverflowError; bools passed as 0 and 1."""
+
+    U = Logarithmic(k=15.0, r_max=100.0)
+
+    @pytest.mark.parametrize("bad", [10**400, True, False, math.inf, 0.0],
+                             ids=["1e400", "True", "False", "inf", "zero"])
+    def test_capacity_that_is_no_positive_float_rejected(self, bad):
+        with pytest.raises(ValueError, match="capacity"):
+            CentralizedInstance(entries=((1, self.U, 0.0),), capacity=bad)
+
+    @pytest.mark.parametrize("bad", [10**400, True, False, math.nan, -1.0],
+                             ids=["1e400", "True", "False", "nan", "negative"])
+    def test_offset_that_is_no_float_rejected(self, bad):
+        with pytest.raises(ValueError, match="user 2: offset"):
+            CentralizedInstance(entries=((1, self.U, 0.0), (2, self.U, bad)), capacity=10.0)
+
+    def test_int_capacity_and_offset_accepted(self):
+        inst = CentralizedInstance(entries=((1, self.U, 0), (2, self.U, 5)), capacity=10)
+        assert inst.capacity == 10
+
+
 class TestSolveCentralized:
     def test_single_user_takes_full_capacity(self):
         inst = CentralizedInstance(

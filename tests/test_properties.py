@@ -61,7 +61,6 @@ from carrieralloc import (
 )
 from carrieralloc import _kernels_py as kernels
 from carrieralloc.enodeb import _skip_from
-from carrieralloc.utility import unpack
 from roundtrip import reference_crossings, round_trip_bound
 
 # The closed form is not exactly monotone: its rounding can raise a rate by
@@ -226,9 +225,16 @@ solve_utilities = st.one_of(sigmoids, plateau_sigmoids, logs)
 offsets = st.one_of(st.just(0.0), log_uniform(-3.0, 2.0))
 
 
+def kernel_params(u):
+    """A utility's kernel encoding: (family code, q1, q2), as floats."""
+    if isinstance(u, Sigmoidal):
+        return kernels.SIGMOIDAL, float(u.a), float(u.b)
+    return kernels.LOGARITHMIC, float(u.k), float(u.r_max)
+
+
 def kernel_row(u):
-    fam, q1, q2 = unpack(u)
-    return (fam, q1, q2) + kernels.response_constants(fam, q1, q2)
+    params = kernel_params(u)
+    return params + kernels.response_constants(*params)
 
 
 def assert_row_matches_parameters(u):
@@ -367,14 +373,14 @@ def bits(x):
 
 def hoisted_net_benefit(u, price, offset, r_cap):
     """The rate as the carrier solve's probe forms it."""
-    fam, q1, q2 = unpack(u)
+    fam, q1, q2 = kernel_params(u)
     d, ad, omd = kernels.response_constants(fam, q1, q2)
     v = kernels.response(fam, q1, q2, d, ad, omd, price, r_cap + offset, EPS_RATE) - offset
     return v if v > 0.0 else 0.0
 
 
 def assert_hoisted_bits(u, price, offset, r_cap):
-    want = kernels.net_benefit(*unpack(u), price, offset, r_cap, EPS_RATE, 1e-9, 200)
+    want = kernels.net_benefit(*kernel_params(u), price, offset, r_cap, EPS_RATE, 1e-9, 200)
     assert bits(hoisted_net_benefit(u, price, offset, r_cap)) == bits(want)
 
 
@@ -404,7 +410,7 @@ def prices_around(a):
     data=st.data(),
 )
 def test_hoisted_response_equals_net_benefit(u, offset, r_cap, data):
-    for price in data.draw(st.lists(prices_around(unpack(u)[1]), min_size=1, max_size=6)):
+    for price in data.draw(st.lists(prices_around(kernel_params(u)[1]), min_size=1, max_size=6)):
         assert_hoisted_bits(u, price, offset, r_cap)
 
 
@@ -417,7 +423,7 @@ def test_hoisted_response_equals_net_benefit(u, offset, r_cap, data):
 @pytest.mark.parametrize("offset", [0.0, 7.5])
 @pytest.mark.parametrize("r_cap", [200.0, EPS_RATE, 1e-12])
 def test_hoisted_response_equals_net_benefit_at_the_edges(u, offset, r_cap):
-    q1 = unpack(u)[1]
+    q1 = kernel_params(u)[1]
     edges = [
         q1, math.nextafter(q1, 0.0), math.nextafter(q1, math.inf),
         q1 * (1.0 - 1e-12), q1 * (1.0 + 1e-12), q1 * 0.99, q1 * 1.01,
@@ -447,7 +453,7 @@ def assert_probes_equal_net_benefit(entries, capacity, rate_cap):
     cap = rate_cap_for(entries, capacity, params)
     for step in res.trace.steps:
         want = [
-            kernels.net_benefit(*unpack(u), step.price, c, cap, EPS_RATE, 1e-9, 200)
+            kernels.net_benefit(*kernel_params(u), step.price, c, cap, EPS_RATE, 1e-9, 200)
             for _, u, c in entries
         ]
         assert [bits(r) for r in step.rates] == [bits(r) for r in want]
@@ -508,7 +514,7 @@ def prices_from(start):
 @example(u=Sigmoidal(2.0009287417555317, 364.8246562740504), offset=1.91601921255434e-06,
          r_cap=1e3)
 def test_no_rate_at_the_prices_a_probe_skips(u, offset, r_cap):
-    fam, q1, q2 = unpack(u)
+    fam, q1, q2 = kernel_params(u)
     d, ad, omd = kernels.response_constants(fam, q1, q2)
     start = _skip_from(fam, q1, q2, d, ad, omd, r_cap + offset, offset, EPS_RATE)
     if start == math.inf:

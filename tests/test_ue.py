@@ -2,7 +2,8 @@
 
 import pytest
 
-from carrieralloc import ProtocolError, UeState, next_flag, order_carriers, record_rate
+from carrieralloc import ProtocolError
+from carrieralloc.ue import UeState, next_flag, order_carriers, record_rate
 
 
 class TestOrderCarriers:
@@ -26,6 +27,13 @@ class TestOrderCarriers:
     def test_nonfinite_price_rejected(self):
         with pytest.raises(ValueError):
             order_carriers({1: float("nan")})
+
+    @pytest.mark.parametrize("bad", [10**400, -10**400, True, False],
+                             ids=["1e400", "-1e400", "True", "False"])
+    def test_price_that_is_no_float_rejected(self, bad):
+        # an int beyond the float range raised OverflowError; a bool passed
+        with pytest.raises(ValueError, match="carrier 2"):
+            order_carriers({1: 0.5, 2: bad})
 
 
 class TestFlagWalk:

@@ -5,9 +5,11 @@ differences of log U for the marginals, and exhaustive grid scans of the
 net-benefit objective for the argmax operations.
 """
 
+import dataclasses
 import gc
 import importlib
 import math
+import struct
 import sys
 import weakref
 
@@ -17,6 +19,7 @@ from carrieralloc import (
     EPS_RATE,
     Logarithmic,
     Sigmoidal,
+    dual_ascent,
     evaluate,
     inverse_log_marginal,
     log_marginal,
@@ -280,6 +283,53 @@ class TestArgumentsThatAreNoFloats:
         assert log_marginal(u, 10) == log_marginal(u, 10.0)
         assert evaluate(u, math.inf) == 1.0
         assert log_marginal(u, math.inf) == 0.0
+
+
+# Int parameters. The last two have a*b beyond the float range: formed from
+# the ints, e^(-a*b) raised OverflowError.
+INT_UTILITIES = [
+    Sigmoidal(5, 10),
+    Sigmoidal(3, 20),
+    Logarithmic(15, 100),
+    Sigmoidal(10**200, 10**200),
+    Logarithmic(10**200, 10**200),
+]
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("u", INT_UTILITIES,
+                         ids=["sig5_10", "sig3_20", "log15", "sig1e200", "log1e200"])
+def test_int_parameters_give_the_bits_of_their_float_twin(u):
+    twin = type(u)(*(float(getattr(u, f.name)) for f in dataclasses.fields(u)))
+    for r in (1e-3, 1.0, 10.0, 1e3, 1e250):
+        for curve in (evaluate, log_utility, log_marginal):
+            assert bits(curve(u, r)) == bits(curve(twin, r))
+    for price in (1e-3, 0.1, 1.0, 10.0, 1e199, 1e250):
+        assert bits(inverse_log_marginal(u, price, 200.0)) == bits(
+            inverse_log_marginal(twin, price, 200.0))
+        for offset in (0.0, 2.0, 1e3):
+            assert bits(net_benefit_maximizer(u, price, offset, 200.0)) == bits(
+                net_benefit_maximizer(twin, price, offset, 200.0))
+    # the user holds an offset, so the solve also finds its zero price
+    other = (2, Logarithmic(3.0, 100.0), 0.0)
+    got = dual_ascent([(1, u, 2.0), other], 10.0)
+    want = dual_ascent([(1, twin, 2.0), other], 10.0)
+    assert bits(got.shadow_price) == bits(want.shadow_price)
+    assert [bits(r) for r in got.rates.values()] == [bits(r) for r in want.rates.values()]
+    assert got.trace == want.trace
+
+
+@pytest.mark.parametrize("not_a_utility", [None, (0, 5.0, 10.0)], ids=["None", "tuple"])
+def test_curves_reject_what_is_no_utility(not_a_utility):
+    for call in (lambda u: evaluate(u, 1.0), lambda u: log_utility(u, 1.0),
+                 lambda u: log_marginal(u, 1.0),
+                 lambda u: inverse_log_marginal(u, 1.0, 100.0),
+                 lambda u: net_benefit_maximizer(u, 1.0, 0.0, 100.0)):
+        with pytest.raises(TypeError, match="not a utility function"):
+            call(not_a_utility)
 
 
 def test_reimport_releases_old_utility_classes():
