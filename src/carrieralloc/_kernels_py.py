@@ -18,7 +18,9 @@ and makes one ``net_rates`` call per probe, which loops over the table: a
 row whose offset covers its response at that price is skipped (see
 ``enodeb``). ``response``, ``inverse_log_marginal`` and ``net_benefit``
 are one-row tables, so every path returns the same bits, which are also
-those of ``_kernels.c``.
+those of ``_kernels.c``. The log-marginal is split the same way:
+``log_marginal`` is one row of ``log_marginals``, with which the carrier
+solve forms every user's equal-share price in one call.
 
 The log inverse's Newton loops count their steps down in a ``while``
 rather than iterate over ``range(_NEWTON_STEPS)``: a ``for`` would build a
@@ -128,21 +130,38 @@ def log_utility(family, q1, q2, r):
 
 
 def log_marginal(family, q1, q2, r):
-    """U'(r)/U(r) for r > 0; strictly decreasing, +inf as r -> 0."""
-    if family == SIGMOIDAL:
-        e_ab = math.exp(-q1 * q2)
-        c = 1.0 + e_ab
-        d = e_ab / c
-        s, oms = _sigmoid_parts(q1 * (r - q2))
-        den = s - d
-        if den <= 0.0:
-            return _INF
-        return q1 * s * oms / den
-    y = q1 * r
-    den = (1.0 + y) * math.log1p(y)
-    if den <= 0.0:
-        return _INF
-    return q1 / den
+    """U'(r)/U(r) for r > 0; strictly decreasing, +inf as r -> 0.
+
+    ``log_marginals`` of one row, whose d is formed as in
+    ``response_constants`` (the log family reads none).
+    """
+    e_ab = math.exp(-q1 * q2) if family == SIGMOIDAL else 0.0
+    row = (family, q1, q2, e_ab / (1.0 + e_ab), 0.0, 0.0, 0.0, r, _NO_SKIP)
+    return log_marginals((row,), 0.0)[0]
+
+
+def log_marginals(table, share):
+    """Every row's log-marginal at its offset plus ``share``, as a list.
+
+    The rows are those of ``net_rates``; a row's d is the sigmoid's
+    normalizer, and the log family reads neither d nor the other constants.
+    The carrier solve forms each user's equal-share price from one call over
+    its user table, so the users cost no Python call each.
+    """
+    log1p, sigmoid_parts = math.log1p, _sigmoid_parts
+    out = []
+    append = out.append
+    for family, q1, q2, d, _, _, _, offset, _ in table:
+        r = offset + share
+        if family == SIGMOIDAL:
+            s, oms = sigmoid_parts(q1 * (r - q2))
+            den = s - d
+            append(q1 * s * oms / den if den > 0.0 else _INF)
+        else:
+            y = q1 * r
+            den = (1.0 + y) * log1p(y)
+            append(q1 / den if den > 0.0 else _INF)
+    return out
 
 
 def response_constants(family, q1, q2):

@@ -11,19 +11,33 @@ with its net-benefit-maximizing rate r_j(p) = max(0, x*_j(p) - c_j), where
 x*_j inverts the log-marginal and c_j is the offset, so demand
 D(p) = sum_j r_j(p) is non-increasing in p. The solve brackets the root of
 D(p) = capacity on log p and narrows the bracket until it certifies every
-user's rate (see ``dual_ascent``). Each probe costs up to one closed-form
-response per user, so the narrowing spends as few probes as it can. It
-probes plateau prices directly: a sigmoid user's response is log-singular
-at p = a, where demand is close to a step, so a clearing price near a is
-bracketed by probing a itself. Every other probe comes from one narrowing
-step (``_narrow``) in x = ln|p - a|: beside a plateau price a, where the
-response goes as ln|p - a| and log p fits it poorly, or else with a = 0,
-in log p. The step takes the secant through the last two probes (beside a
-plateau only) or Anderson-Bjorck regula falsi (Anderson & Bjorck 1973)
-rather than the Illinois rule's fixed halving of a stale end (Dowell &
-Jarratt 1971); pushes a probe that falls next to the end just replaced
-just far enough past it that, if it lands across the root, the two
-certify every rate; and falls back to the midpoint in x.
+user's rate (see ``dual_ascent``).
+
+The bracket search starts from the closed form rather than from a fixed
+price. A user's equal-share price p_j is its log-marginal at c_j + C/m,
+with C the capacity and m the number of users: the price at which it
+demands exactly an m-th of the capacity. At the highest p_j no user
+demands more than its share, and at the lowest none demands less, so the
+clearing price lies between the two. The first probe is the upper median
+of the p_j, the second scales it by the cube of the demand ratio it met,
+and the doubling walk in log p that follows stops at those two bounds
+before it passes them. The bounds hold only up to rounding, since a
+sigmoid's marginal is flat in float64 on its plateau, so a bound that does
+not bracket the price is walked past.
+
+Each probe costs up to one closed-form response per user, so the narrowing
+spends as few probes as it can. It probes plateau prices directly: a
+sigmoid user's response is log-singular at p = a, where demand is close to
+a step, so a clearing price near a is bracketed by probing a itself.
+Every other probe comes from one narrowing step (``_narrow``) in
+x = ln|p - a|: beside a plateau price a, where the response goes as
+ln|p - a| and log p fits it poorly, or else with a = 0, in log p. The step
+takes the secant through the last two probes (beside a plateau only) or
+Anderson-Bjorck regula falsi (Anderson & Bjorck 1973) rather than the
+Illinois rule's fixed halving of a stale end (Dowell & Jarratt 1971);
+pushes a probe that falls next to the end just replaced just far enough
+past it that, if it lands across the root, the two certify every rate;
+and falls back to the midpoint in x.
 
 The solve copies each user's response constants, which its utility forms
 once at construction, into a user table, and each probe is one call of the
@@ -60,8 +74,6 @@ from .utility import Logarithmic, UtilityFunction, _is_number
 
 Entry = tuple[int, UtilityFunction, float]
 
-# First price the root-find probes.
-INIT_PRICE = 1.0
 # Probes stay within the positive normal floats; a capacity that no such
 # price clears is reported as not converged.
 _P_MIN = sys.float_info.min
@@ -139,16 +151,27 @@ def _clear_market(
     max_probes: int,
     tol: float,
     plateaus: Mapping[float, float],
+    start: float,
+    low: float,
+    high: float,
 ) -> tuple[float, tuple[float, ...], bool]:
     """Root-find the price at which demand meets capacity: (price, rates, converged).
 
-    The search first walks log p away from INIT_PRICE with doubling steps
-    until the clearing price is bracketed, staying within the positive
-    normal floats, then narrows the bracket on g = log(demand/capacity).
-    When the same end is replaced twice in a row, the stale end's g is
-    scaled by m = 1 - g_new/g_old (g_old the replaced end's), or by 1/2 if
-    m <= 0: the Anderson-Bjorck rule. Each narrowing probe is then chosen
-    in one of two ways:
+    The bracket search stays within the positive normal floats. Its first
+    probe is at ``start``. If that probe does not bracket the clearing
+    price and its demand D is positive, the second is at
+    start * (D/capacity)^3, kept within [``low``, ``high``], the equal-share
+    bounds (see ``dual_ascent``). From then on it walks log p with doubling
+    steps, away from the side where the price cannot lie. A step that would
+    pass ``high`` on the way up, or ``low`` on the way down, probes that
+    bound instead; a bound that fails to bracket the price, as on a plateau
+    where the marginal is flat in float64, is then walked past.
+
+    Once the price is bracketed, the search narrows the bracket on
+    g = log(demand/capacity). When the same end is replaced twice in a row,
+    the stale end's g is scaled by m = 1 - g_new/g_old (g_old the replaced
+    end's), or by 1/2 if m <= 0: the Anderson-Bjorck rule. Each narrowing
+    probe is then chosen in one of two ways:
 
     - Plateau prices. ``plateaus`` maps each sigmoid user's steepness a,
       where its response is log-singular in p and demand is close to a
@@ -181,10 +204,11 @@ def _clear_market(
     last = None  # the end the previous probe replaced
     end, demand = None, 0.0  # the latest probe and its demand
     plateau_prices = sorted(plateaus)
-    t, step = 0.0, 1.0  # log price of the next probe; bracket-search step
-    p = INIT_PRICE
+    p = start
+    t, step = math.log(start), 1.0  # log price of the next probe; bracket-search step
+    t_low, t_high = math.log(low), math.log(high)
     converged = False
-    for _ in range(max_probes):
+    for k in range(max_probes):
         previous, d_previous = end, demand
         end = probe(p)
         # fsum is correctly rounded, so demand does not depend on the order
@@ -204,12 +228,28 @@ def _clear_market(
             hi, d_hi, g_hi = end, demand, g
             last = "hi"
         if hi is None or lo is None:
-            if t in (_T_MIN, _T_MAX):
+            rising = hi is None  # every probe so far over-demands
+            if p == (_P_MAX if rising else _P_MIN):
                 break  # no normal price clears this capacity
-            t = t + step if hi is None else t - step
-            t = min(max(t, _T_MIN), _T_MAX)
+            if k == 0 and demand > 0.0:
+                # the start scaled by the cube of its demand ratio, within
+                # the equal-share bounds; a product, since ** would raise
+                # OverflowError where the cube is merely inf
+                ratio = demand / capacity
+                q = p * (ratio * ratio * ratio)
+                q = low if q < low else high if q > high else q
+                if q != p:
+                    p, t = q, math.log(q)
+                    continue
+            t = t + step if rising else t - step
             step *= 2.0
-            p = _P_MIN if t == _T_MIN else _P_MAX if t == _T_MAX else math.exp(t)
+            if rising and p < high and t >= t_high:
+                p, t = high, t_high
+            elif not rising and p > low and t <= t_low:
+                p, t = low, t_low
+            else:
+                t = min(max(t, _T_MIN), _T_MAX)
+                p = _P_MIN if t == _T_MIN else _P_MAX if t == _T_MAX else math.exp(t)
             continue
         gap = max(map(operator.sub, lo.rates, hi.rates))
         if gap <= tol or math.nextafter(lo.price, math.inf) >= hi.price:
@@ -357,6 +397,12 @@ def dual_ascent(
     price discovery). The price is root-found as the module docstring
     describes, with at most ``params.max_outer_iters`` probes;
     ``iterations`` counts the probes and the trace holds one step each.
+    The search starts from each user's equal-share price, its log-marginal
+    at its offset plus capacity/m for m users, formed by one
+    ``kernels.log_marginals`` call over the user table and sorted, so that
+    the start does not depend on the order of the users: the first probe is
+    the upper median of those below the largest float, and the lowest and
+    highest bound the search (see ``_clear_market``).
     The steepness a of every sigmoid user is passed on as a plateau price,
     with the core a*sqrt(d) around it (d the sigmoid's normalizer) within
     which the user's response no longer goes as ln|p - a|: the solve
@@ -429,8 +475,15 @@ def dual_ascent(
         steps.append(step)
         return step
 
+    # Sorted, so that the start does not depend on the order of the users
+    share_prices = sorted(kernels.log_marginals(users, capacity / len(users)))
+    finite = bisect_left(share_prices, _P_MAX)
+    start = share_prices[finite // 2] if finite else _P_MAX
+    start, low, high = (
+        min(max(q, _P_MIN), _P_MAX) for q in (start, share_prices[0], share_prices[-1])
+    )
     price, rates, converged = _clear_market(
-        probe, capacity, params.max_outer_iters, tol_r, plateaus
+        probe, capacity, params.max_outer_iters, tol_r, plateaus, start, low, high
     )
     return DualAscentResult(
         shadow_price=price,

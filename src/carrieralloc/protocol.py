@@ -14,10 +14,10 @@ in the price table's order. Every covered user flags the carrier served,
 by construction of that order.
 
 ``run`` keeps each user's received rates as a list in pass order. The
-user's offset on its next carrier is ``float(sum(rates))``, 0.0 before the
-first rate, and its aggregate is ``sum(rates)`` over all of them: Python's
-``sum`` of the whole list each time, never a running ``+=``, since from
-Python 3.12 on ``sum`` of floats is compensated and the two round apart.
+user's offset on its next carrier is the ``math.fsum`` of that list, 0.0
+before the first rate, and its aggregate is the ``math.fsum`` of all of
+them. ``fsum`` is correctly rounded, so the offsets and aggregates, and
+with them every output, have the same bits on every Python version.
 
 A carrier solve reads only its capacity, the solver parameters and each
 covered user's (id, utility, offset) in listing order, and it is
@@ -33,6 +33,7 @@ nothing.
 from __future__ import annotations
 
 import logging
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -67,7 +68,7 @@ class AllocationReport:
         return self.rates.get(carrier_id, {}).get(user_id, 0.0)
 
     def total_allocated(self) -> float:
-        return sum(self.aggregates.values())
+        return math.fsum(self.aggregates.values())
 
 
 class _Solves:
@@ -199,7 +200,7 @@ def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> Allocat
 
     # Each user's rates in pass order, and their sum (see the module
     # docstring): the offset on its next carrier, and at the end its
-    # aggregate. A sum of floats is a float, so float() would not change it.
+    # aggregate.
     received: dict[int, list[float]] = {uid: [] for uid in utility}
     total = dict.fromkeys(utility, 0.0)
     results: dict[int, DualAscentResult] = {}
@@ -225,7 +226,7 @@ def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> Allocat
         for uid in users:
             got = received[uid]
             got.append(rates[uid])
-            total[uid] = sum(got)
+            total[uid] = math.fsum(got)
 
     return AllocationReport(
         offered_prices=offered,

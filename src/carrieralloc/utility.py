@@ -204,5 +204,7 @@ def net_benefit_maximizer(
         raise ValueError(f"offset must be >= 0, got {offset!r}")
     if not (_is_number(r_cap) and r_cap > 0):
         raise ValueError(f"r_cap must be finite and > 0, got {r_cap!r}")
+    # floats, so that an int cap that binds still gives a float rate
+    r_cap, offset = float(r_cap), float(offset)
     row = _kernel_row(u) + (r_cap + offset, offset, kernels._NO_SKIP)
     return kernels.net_rates((row,), price, eps_r)[0]

@@ -15,9 +15,21 @@ writes nothing. It prints one line per scenario, in the file's order: the
 sha256 of the ``repr`` of the scenario's full ``run`` report (prices,
 rates, offsets, aggregates, traces and order), two spaces, and the
 scenario's name. Two checkouts give bit-identical reports when the two
-printouts are equal. Run both with one interpreter: from Python 3.12 on,
-``sum`` of floats is compensated, so some many-carriers aggregates differ
-in the last bit between 3.11 and 3.12+, and so do their digests.
+printouts are equal. ``reference_digests.txt`` beside this file holds the
+printout, and ``test_reference`` compares a fresh one with it; a change
+that moves any output bit regenerates it with
+
+    PYTHONPATH=src python tests/reference_outputs.py --digest > tests/reference_digests.txt
+
+and says so in CHANGES.md.
+
+    PYTHONPATH=src python tests/reference_outputs.py --probes
+
+writes nothing either. It prints the summed probes of the distinct carrier
+solves of each scenario group, one line per group: the section-5 sweep,
+run as one ``sweep`` so that its points reuse each other's solves, and the
+wide and many rings, seeds 0-1. A solve is counted once, however many
+reports hold its trace.
 """
 
 from __future__ import annotations
@@ -29,19 +41,25 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from carrieralloc import (
+    AllocationReport,
     CarrierSpec,
     Logarithmic,
     Scenario,
     Sigmoidal,
     UserSpec,
     run,
+    sweep,
     two_carrier_nine_user,
     with_capacity,
 )
 
 REFERENCE = Path(__file__).with_name("reference_outputs.json")
+DIGESTS = Path(__file__).with_name("reference_digests.txt")
+# The CLI's sweep points for 1=50:200:1.
+SECTION5_CAPACITIES = [50.0 + i * 1.0 for i in range(151)]
 
 
 # The ring layout below copies perfbench/workloads.py, and each design is
@@ -99,8 +117,7 @@ def ring_scenario(design: RingDesign, seed: int, salt: str) -> Scenario:
 def scenarios():
     """(name, scenario) pairs, in the reference file's order."""
     section5 = two_carrier_nine_user()
-    for i in range(151):
-        capacity = 50.0 + i * 1.0  # the CLI's sweep points for 1=50:200:1
+    for capacity in SECTION5_CAPACITIES:
         yield f"section5 R1={capacity!r}", with_capacity(section5, 1, capacity)
     for salt, design in RING_DESIGNS.items():
         for seed in (0, 1):
@@ -128,16 +145,49 @@ def digest(scenario: Scenario) -> str:
     return hashlib.sha256(repr(run(scenario)).encode()).hexdigest()
 
 
+def distinct_probes(reports: Iterable[AllocationReport]) -> int:
+    """Summed probes of the distinct solves behind ``reports``.
+
+    A reused solve hands the same trace to every report that holds it, such
+    as an allocation equal to its discovery, or a solve equal to one of the
+    previous sweep point's, so each trace object counts once.
+    """
+    traces = {}
+    for report in reports:
+        for phase in (report.offered_traces, report.allocation_traces):
+            for trace in phase.values():
+                traces[id(trace)] = trace
+    return sum(len(trace) for trace in traces.values())
+
+
+def probe_counts():
+    """(group name, summed probes) for each scenario group."""
+    points = sweep(two_carrier_nine_user(), 1, SECTION5_CAPACITIES)
+    yield "section5 sweep", distinct_probes(report for _, report in points)
+    for salt, design in RING_DESIGNS.items():
+        reports = [run(ring_scenario(design, seed, salt)) for seed in (0, 1)]
+        yield f"{salt} seeds 0-1", distinct_probes(reports)
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--digest", action="store_true",
         help="print a digest of each full report instead of writing the file",
+    )
+    mode.add_argument(
+        "--probes", action="store_true",
+        help="print the summed probes of each scenario group instead of writing the file",
     )
     args = parser.parse_args(argv)
     if args.digest:
         for name, scenario in scenarios():
             print(f"{digest(scenario)}  {name}")
+        return
+    if args.probes:
+        for name, probes in probe_counts():
+            print(f"{probes}  {name}")
         return
     lines = [
         f"{json.dumps(name)}: {json.dumps(summarize(scenario), separators=(',', ':'))}"

@@ -18,6 +18,7 @@ from carrieralloc import (
     two_carrier_nine_user,
 )
 from carrieralloc import _kernels_py as kernels
+from reference_outputs import SECTION5_CAPACITIES, distinct_probes
 
 SECTION_USERS = [
     (1, Sigmoidal(a=5.0, b=10.0)),
@@ -287,6 +288,33 @@ class TestProbeCounts:
         ]
         assert len(probes) == 151 * 4
         assert max(probes) <= 13
+
+    def test_section5_sweep_takes_few_probes_in_all(self):
+        # the summed probes of the sweep's distinct solves, which are what
+        # the sweep runs: 3,227 when the bracket search walked from p = 1
+        # with doubling steps, 2,082 from the users' equal-share prices
+        points = sweep(two_carrier_nine_user(), 1, SECTION5_CAPACITIES)
+        assert distinct_probes(report for _, report in points) <= 2082
+
+    @pytest.mark.parametrize("entries, capacity, bound", [
+        # the root lies just above a plateau price and just below a zero
+        # price; 776 probes when the bracket search walked from p = 1
+        ([(1, Logarithmic(4.149425477771006, 100.0), 9.90946425972671),
+          (2, Logarithmic(9.82425288147035, 100.0), 0.0),
+          (3, Sigmoidal(7.166430893844001, 50.42992696364199), 2.8103905451341236),
+          (4, Sigmoidal(4.357889008726998, 11.785413747755898), 0.0)],
+         0.316894110465368, 369),
+        # the root lies 1.97e-8 above user 1's plateau price and just below
+        # its zero price; 170 probes when the search walked from p = 1
+        ([(1, Sigmoidal(6.972621216810191, 84.07212762343728), 2.820028221146111),
+          (2, Sigmoidal(0.6462491849901038, 21.957655217227455), 27.817538148968605),
+          (3, Sigmoidal(0.8061206478595326, 37.89345708957491), 0.0)],
+         0.15581012659400165, 18),
+    ], ids=["776", "170"])
+    def test_long_random_solves_take_fewer_probes(self, entries, capacity, bound):
+        res = dual_ascent(entries, capacity)
+        assert res.converged
+        assert res.iterations <= bound
 
 
 class TestKernelCalls:

@@ -609,6 +609,6 @@ def test_one_pass_serves_carriers_in_the_order_of_the_flag_rounds(s):
     for u in s.users:
         before: list[int] = []
         for cid in sorted(u.coverage, key=lambda c: (prices[c], c)):
-            received = float(sum(report.rates[b][u.id] for b in before))
+            received = math.fsum(report.rates[b][u.id] for b in before)
             assert report.offsets[cid][u.id] == received
             before.append(cid)

@@ -222,19 +222,30 @@ class TestOneCarrierOrder:
             assert report.offsets[2][uid] == 0.0
             assert report.offsets[1][uid] == report.rates[2][uid]
 
+    def test_section5_tie_is_bit_equal_and_broken_by_id(self):
+        # Both carriers cover the same utilities, listed in another user
+        # order, so the two solves must do the same arithmetic whatever the
+        # order. A solve start taken as the median of the unsorted
+        # equal-share prices put carrier 2's price 9e-13 (relative) below
+        # carrier 1's and flipped the order to (2, 1).
+        report = run(two_carrier_nine_user(100.0, 100.0))
+        assert report.offered_prices[1] == report.offered_prices[2]
+        assert report.offered_prices[1] == pytest.approx(0.026494999394762395, rel=1e-10)
+        assert report.processing_order == (1, 2)
+
     @pytest.mark.parametrize("scenario", SECTION5_POINTS + [RING])
     def test_each_user_orders_its_coverage_by_price_then_id(self, scenario):
-        # Seen from the report alone: each offset is the sum of the user's
-        # rates from the carriers before it in (offered price, id) order, and
-        # the aggregate the sum of all of them, to the bit and in that order.
+        # Seen from the report alone: each offset is the correctly rounded
+        # sum of the user's rates from the carriers before it in (offered
+        # price, id) order, and the aggregate that of all of them, to the bit.
         report = run(scenario)
         prices = report.offered_prices
         for u in scenario.users:
             order = sorted(u.coverage, key=lambda c: (prices[c], c))
             rates = [report.rates[c][u.id] for c in order]
             for k, cid in enumerate(order):
-                assert report.offsets[cid][u.id] == float(sum(rates[:k]))
-            assert report.aggregates[u.id] == sum(rates)
+                assert report.offsets[cid][u.id] == math.fsum(rates[:k])
+            assert report.aggregates[u.id] == math.fsum(rates)
 
 
 @pytest.fixture

@@ -4,14 +4,24 @@ The order must be equal, prices within 1e-10 relative, and the rate sums
 and largest rates within 1e-8: loose enough for the last-bit moves of a
 solver change, tight enough to catch a flipped carrier order or any move
 above 1e-8. Regenerate the file with ``tests/reference_outputs.py``. Its
-``--digest`` mode prints a line per scenario and leaves the file as it is.
+``--digest`` mode prints a line per scenario and leaves the file as it is;
+``reference_digests.txt`` holds that printout, and a fresh one must equal
+it to the bit. Its ``--probes`` mode prints the summed probes per group.
 """
 
 import json
 import math
 import re
 
-from reference_outputs import REFERENCE, digest, main, scenarios, summarize
+from reference_outputs import (
+    DIGESTS,
+    REFERENCE,
+    digest,
+    main,
+    probe_counts,
+    scenarios,
+    summarize,
+)
 
 PRICE_REL_TOL = 1e-10
 RATE_ABS_TOL = 1e-8
@@ -50,4 +60,29 @@ def test_digest_mode_prints_one_line_per_scenario(capsys):
     for line, (name, _) in zip(lines, named):
         assert re.fullmatch(r"[0-9a-f]{64}  " + re.escape(name), line), line
     assert lines[0].split()[0] == digest(named[0][1])
+    assert REFERENCE.read_bytes() == before
+
+
+def test_reports_are_bit_identical_to_the_checked_in_digests(capsys):
+    # The offsets and aggregates are correctly rounded sums, so the digests
+    # are the same on every Python version; any output bit that moves shows
+    main(["--digest"])
+    got = capsys.readouterr().out.splitlines()
+    want = DIGESTS.read_text().splitlines()
+    assert [line.split("  ", 1)[1] for line in got] == \
+        [line.split("  ", 1)[1] for line in want]
+    moved = [line.split("  ", 1)[1] for line, ref in zip(got, want) if line != ref]
+    assert not moved, f"{len(moved)} reports moved: {moved[:10]}"
+
+
+def test_probes_mode_prints_one_line_per_group(capsys):
+    before = REFERENCE.read_bytes()
+    main(["--probes"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ", 1)[1] for line in lines] == \
+        ["section5 sweep", "wide-carriers seeds 0-1", "many-carriers seeds 0-1"]
+    for line in lines:
+        assert re.fullmatch(r"[1-9][0-9]*  [a-z0-9 -]+", line), line
+    name, probes = next(probe_counts())
+    assert lines[0] == f"{probes}  {name}"
     assert REFERENCE.read_bytes() == before

@@ -248,6 +248,14 @@ class TestNetBenefitMaximizer:
         with pytest.raises(ValueError):
             net_benefit_maximizer(Sigmoidal(a=5.0, b=10.0), 1.0, -0.5, 100.0)
 
+    def test_binding_int_cap_gives_a_float(self):
+        # the kernel's r_cap - offset kept the int cap, so this returned 5
+        u = Logarithmic(15.0, 100.0)
+        got = net_benefit_maximizer(u, 1e-9, 0, 5)
+        assert type(got) is float and got == 5.0
+        assert got == inverse_log_marginal(u, 1e-9, 5)
+        assert type(net_benefit_maximizer(u, 1e-9, 2, 5)) is float
+
 
 BEYOND_FLOATS = 10**400
 
