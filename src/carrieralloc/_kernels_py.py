@@ -20,7 +20,7 @@ row whose offset covers its response at that price is skipped (see
 are one-row tables, so every path returns the same bits, which are also
 those of ``_kernels.c``. The log-marginal is split the same way:
 ``log_marginal`` is one row of ``log_marginals``, with which the carrier
-solve forms every user's equal-share price in one call.
+solve forms every user's equal-share, cap and zero prices in one call.
 
 The log inverse's Newton loops count their steps down in a ``while``
 rather than iterate over ``range(_NEWTON_STEPS)``: a ``for`` would build a
@@ -132,35 +132,46 @@ def log_utility(family, q1, q2, r):
 def log_marginal(family, q1, q2, r):
     """U'(r)/U(r) for r > 0; strictly decreasing, +inf as r -> 0.
 
-    ``log_marginals`` of one row, whose d is formed as in
+    ``log_marginals`` of one row and one share, whose d is formed as in
     ``response_constants`` (the log family reads none).
     """
     e_ab = math.exp(-q1 * q2) if family == SIGMOIDAL else 0.0
     row = (family, q1, q2, e_ab / (1.0 + e_ab), 0.0, 0.0, 0.0, r, _NO_SKIP)
-    return log_marginals((row,), 0.0)[0]
+    return log_marginals((row,), (0.0,))[0]
 
 
-def log_marginals(table, share):
-    """Every row's log-marginal at its offset plus ``share``, as a list.
+def log_marginals(table, shares):
+    """Every row's log-marginal at its offset plus each of ``shares``.
 
-    The rows are those of ``net_rates``; a row's d is the sigmoid's
-    normalizer, and the log family reads neither d nor the other constants.
-    The carrier solve forms each user's equal-share price from one call over
+    One flat list, row by row and, within a row, share by share, so that
+    ``out[i::len(shares)]`` holds the i-th share's prices. The rows are
+    those of ``net_rates``; a row's d is the sigmoid's normalizer, and the
+    log family reads neither d nor the other constants. The carrier solve
+    forms each user's equal-share, cap and zero prices from one call over
     its user table, so the users cost no Python call each.
     """
-    log1p, sigmoid_parts = math.log1p, _sigmoid_parts
+    exp, log1p = math.exp, math.log1p
     out = []
     append = out.append
     for family, q1, q2, d, _, _, _, offset, _ in table:
-        r = offset + share
         if family == SIGMOIDAL:
-            s, oms = sigmoid_parts(q1 * (r - q2))
-            den = s - d
-            append(q1 * s * oms / den if den > 0.0 else _INF)
+            for share in shares:
+                # _sigmoid_parts, inlined: its call would cost more than the
+                # rest of the price
+                x = q1 * (offset + share - q2)
+                if x >= 0.0:
+                    z = exp(-x)
+                    s, oms = 1.0 / (1.0 + z), z / (1.0 + z)
+                else:
+                    z = exp(x)
+                    s, oms = z / (1.0 + z), 1.0 / (1.0 + z)
+                den = s - d
+                append(q1 * s * oms / den if den > 0.0 else _INF)
         else:
-            y = q1 * r
-            den = (1.0 + y) * log1p(y)
-            append(q1 / den if den > 0.0 else _INF)
+            for share in shares:
+                y = q1 * (offset + share)
+                den = (1.0 + y) * log1p(y)
+                append(q1 / den if den > 0.0 else _INF)
     return out
 
 

@@ -25,6 +25,17 @@ before it passes them. The bounds hold only up to rounding, since a
 sigmoid's marginal is flat in float64 on its plateau, so a bound that does
 not bracket the price is walked past.
 
+The rate cap gives a second lower bound. A user's response is capped at
+c_j + rate_cap, so below its cap price, its log-marginal at
+c_j + rate_cap, it takes the whole cap. The cap leaves headroom over the
+capacity (twice the capacity or more by default, see ``rate_cap_for``),
+so at those prices that user alone over-demands, and the clearing price
+lies above the cap floor, the highest cap price. Where the floor lies
+above the start, the search starts there and takes it as its lower bound.
+That happens where half the users are sigmoids whose equal-share prices
+lie far below every log user's: the search no longer walks up through
+prices at which the log users demand their caps and demand does not move.
+
 Each probe costs up to one closed-form response per user, so the narrowing
 spends as few probes as it can. It probes plateau prices directly: a
 sigmoid user's response is log-singular at p = a, where demand is close to
@@ -48,7 +59,9 @@ below c. In the allocation phase many users' offsets cover their demand
 at most of the prices probed, so above a user's zero price the kernel
 writes its 0.0 without computing the response. The zero price comes from
 the log-marginal at c and is confirmed by one response per solve, so the
-rates keep the bits that a response would give (see ``_skip_from``).
+rates keep the bits that a response would give (see ``_skip_from``). The
+equal-share, cap and zero prices of every user come from one
+``kernels.log_marginals`` pass over the table.
 
 Each probe is one trace step, which stores the posted price and the rates;
 the bids p * r_j are derived from them on demand rather than stored.
@@ -134,7 +147,11 @@ def rate_cap_for(
     of low prices, and the solve could settle anywhere in it. With strict
     headroom the cap can never bind at the clearing price (where rates sum
     to the capacity), while under-priced probes over-demand and so bracket
-    the price from below.
+    the price from below. It is also what makes the cap floor a bound:
+    below a user's cap price its rate is the cap, more than the capacity,
+    so the solve starts no lower than the highest cap price. An explicit
+    cap at or below the capacity leaves no headroom, and then the solve
+    forms no floor.
     """
     if params.rate_cap is not None:
         return float(params.rate_cap)
@@ -161,7 +178,10 @@ def _clear_market(
     probe is at ``start``. If that probe does not bracket the clearing
     price and its demand D is positive, the second is at
     start * (D/capacity)^3, kept within [``low``, ``high``], the equal-share
-    bounds (see ``dual_ascent``). From then on it walks log p with doubling
+    bounds (see ``dual_ascent``). Where the cap floor lies above the
+    equal-share start, ``start`` and ``low`` are that floor: no price below
+    it clears, since there one user alone demands its cap, which has
+    headroom over the capacity. From then on it walks log p with doubling
     steps, away from the side where the price cannot lie. A step that would
     pass ``high`` on the way up, or ``low`` on the way down, probes that
     bound instead; a bound that fails to bracket the price, as on a plateau
@@ -359,30 +379,55 @@ def _stale_scale(g_new: float, g_old: float) -> float:
     return m if m > 0.0 else 0.5  # also when the ratio is undefined (nan)
 
 
-def _skip_from(
-    fam: int, q1: float, q2: float, d: float, ad: float, omd: float,
-    x_cap: float, c: float, eps_r: float,
-) -> float:
+def _skip_from(row: tuple, offset_price: float, eps_r: float) -> float:
     """Lowest price at which a probe may skip this user's response: inf if none.
 
-    A user whose offset c is positive has a zero price z, its log-marginal
-    at c raised by ZERO_MARGIN: above z the user's response x* falls below
-    c, and its rate max(0, x* - c) is exactly 0.0. The zero price is kept
-    only if the response at z confirms a rate of 0.0, since ``log_marginal``
-    can lose most of its digits (sigmoids with a*b from about 708 to 745)
-    and put z where the rate is still positive. The response is monotone
-    in the price only to a few ulps, so the skip starts ZERO_MARGIN above
-    z, where the response has fallen by far more than that.
+    ``row`` is the user's table row, and ``offset_price`` its log-marginal
+    at its offset c, which ``kernels.log_marginals`` forms with the other
+    prices of the solve. A user whose offset c is positive has a zero price
+    z, that log-marginal raised by ZERO_MARGIN: above z the user's response
+    x* falls below c, and its rate max(0, x* - c) is exactly 0.0. The zero
+    price is kept only if the response at z confirms a rate of 0.0, since
+    the log-marginal can lose most of its digits (sigmoids with a*b from
+    about 708 to 745) and put z where the rate is still positive. The
+    response is monotone in the price only to a few ulps, so the skip
+    starts ZERO_MARGIN above z, where the response has fallen by far more
+    than that.
 
-    The solve calls this only for c > 0. At c = 0 the log-marginal, and so
-    z, is inf, and the result is inf too.
+    At c = 0 the log-marginal, and so z, is inf, and the result is inf too.
     """
-    z = kernels.log_marginal(fam, q1, q2, c) * (1.0 + ZERO_MARGIN)
+    fam, q1, q2, d, ad, omd, x_cap, c, _ = row
+    z = offset_price * (1.0 + ZERO_MARGIN)
     if 0.0 < z < math.inf and (
         kernels.response(fam, q1, q2, d, ad, omd, z, x_cap, eps_r) <= c
     ):
         return z * (1.0 + ZERO_MARGIN)
     return math.inf
+
+
+def _cap_floor(
+    users: list, cap_prices: list, capacity: float, eps_r: float, start: float
+) -> float:
+    """``start`` raised to the cap floor, if the floor lies above it and holds.
+
+    ``cap_prices`` holds each user's cap price, its log-marginal at its
+    cap c + rate_cap, in the order of the rows of ``users``. Below a user's
+    cap price its response stays at its cap, so its rate is rate_cap, which
+    the caller has checked exceeds the capacity: no price there clears.
+    The cap floor, the highest cap price below the largest float, is kept
+    only if the rate of its user there, from one response, confirms more
+    than the capacity, since a sigmoid's log-marginal can lose its digits
+    (s and d subnormal, or zero) and put the cap price above the user's
+    plateau price, where its rate falls to eps_r, or at inf.
+    """
+    floor = max(cap_prices)
+    if floor >= _P_MAX:
+        floor = max((q for q in cap_prices if q < _P_MAX), default=0.0)
+    if floor > start:
+        row = users[cap_prices.index(floor)]
+        if kernels.net_rates((row,), floor, eps_r)[0] > capacity:
+            return floor
+    return start
 
 
 def dual_ascent(
@@ -398,11 +443,20 @@ def dual_ascent(
     describes, with at most ``params.max_outer_iters`` probes;
     ``iterations`` counts the probes and the trace holds one step each.
     The search starts from each user's equal-share price, its log-marginal
-    at its offset plus capacity/m for m users, formed by one
-    ``kernels.log_marginals`` call over the user table and sorted, so that
-    the start does not depend on the order of the users: the first probe is
-    the upper median of those below the largest float, and the lowest and
-    highest bound the search (see ``_clear_market``).
+    at its offset plus capacity/m for m users, sorted so that the start
+    does not depend on the order of the users: the first probe is the
+    upper median of those below the largest float, and the lowest and
+    highest bound the search (see ``_clear_market``). When the rate cap
+    exceeds the capacity, as the default cap always does, a start below
+    the cap floor, the highest of the users' cap prices (log-marginals at
+    c_j + rate_cap), is raised to the floor, and so is the lower bound:
+    below a user's cap price it demands its whole cap, more than the
+    capacity, so no price there clears. One response confirms the floor
+    (see ``_cap_floor``). A floor at or below the start is not used; it
+    could only stop a walk down, which rarely gets that far, and its
+    confirming response would cost every such solve. The equal-share, cap
+    and zero prices come from one ``kernels.log_marginals`` pass over the
+    user table.
     The steepness a of every sigmoid user is passed on as a plateau price,
     with the core a*sqrt(d) around it (d the sigmoid's normalizer) within
     which the user's response no longer goes as ln|p - a|: the solve
@@ -412,14 +466,13 @@ def dual_ascent(
 
     The solve reads each utility's kernel row and plateau, which the
     utility formed once at construction (see ``utility``), so a user costs
-    no per-solve work beyond its cap, its offset and, for a positive
-    offset, its zero price. Each probe costs one kernel call, which
-    computes one response per user that the probe can still move.
-    A user with a positive offset is skipped, its rate set to 0.0, at
-    probes above its zero price, past which its response stays below its
-    offset (see ``_skip_from``); finding the zero price costs one response
-    per such user and solve. The rates are the bits of
-    ``kernels.net_benefit`` either way.
+    no per-solve work beyond its cap, its offset, its three prices and, for
+    a positive offset, the response that confirms its zero price. Each
+    probe costs one kernel call, which computes one response per user that
+    the probe can still move. A user with a positive offset is skipped, its
+    rate set to 0.0, at probes above its zero price, past which its
+    response stays below its offset (see ``_skip_from``). The rates are the
+    bits of ``kernels.net_benefit`` either way.
 
     ``converged`` is True only when the final price bracket certifies the
     rates: no user's response differs by more than ``params.tol_r`` between
@@ -442,10 +495,12 @@ def dual_ascent(
     rate_cap = rate_cap_for(entries, capacity, params)
     # Each user's table row, formed once for all probes: the utility's
     # kernel row with its cap, offset and the price from which its response
-    # is skipped. And each sigmoid's plateau price a, with the widest core
-    # a*sqrt(d) around it within which a response no longer goes as ln|p - a|.
+    # is skipped (inf until its zero price is confirmed). And each sigmoid's
+    # plateau price a, with the widest core a*sqrt(d) around it within which
+    # a response no longer goes as ln|p - a|.
     eps_r, tol_r = params.eps_r, params.tol_r
     users = []
+    offset_rows = []  # the rows of the users with positive offsets
     plateaus: dict[float, float] = {}
     for uid, u, c in entries:
         try:
@@ -457,13 +512,26 @@ def dual_ascent(
         if c is True or c is False or not 0.0 <= c <= _P_MAX:
             raise ValueError(f"user {uid}: offset must be >= 0, got {c!r}")
         c = float(c)
-        x_cap = rate_cap + c
-        skip_from = _skip_from(*row, x_cap, c, eps_r) if c > 0.0 else math.inf
-        users.append(row + (x_cap, c, skip_from))
+        if c > 0.0:
+            offset_rows.append(len(users))
+        users.append(row + (rate_cap + c, c, math.inf))
         plateau = u._plateau
         if plateau is not None:
             a, core = plateau
             plateaus[a] = max(plateaus.get(a, 0.0), core)
+
+    # Every user's equal-share and cap price, and its zero price where any
+    # user holds an offset, from one kernel pass: its log-marginal at
+    # c + capacity/m, at its cap c + rate_cap, and at c
+    shares = (capacity / len(users), rate_cap)
+    if offset_rows:
+        shares += (0.0,)
+    n = len(shares)
+    prices = kernels.log_marginals(users, shares)
+    for i in offset_rows:
+        skip_from = _skip_from(users[i], prices[n * i + 2], eps_r)
+        if skip_from < math.inf:
+            users[i] = users[i][:-1] + (skip_from,)
 
     net_rates = kernels.net_rates
     steps: list[TraceStep] = []
@@ -475,13 +543,21 @@ def dual_ascent(
         steps.append(step)
         return step
 
-    # Sorted, so that the start does not depend on the order of the users
-    share_prices = sorted(kernels.log_marginals(users, capacity / len(users)))
+    # Sorted, so that the start does not depend on the order of the users.
+    # The start and bounds are kept within the positive normal floats by
+    # conditional expressions: min and max calls cost more, once per solve.
+    share_prices = sorted(prices[0::n])
     finite = bisect_left(share_prices, _P_MAX)
     start = share_prices[finite // 2] if finite else _P_MAX
-    start, low, high = (
-        min(max(q, _P_MIN), _P_MAX) for q in (start, share_prices[0], share_prices[-1])
-    )
+    start = start if start > _P_MIN else _P_MIN
+    low, high = share_prices[0], share_prices[-1]
+    low = _P_MIN if low < _P_MIN else _P_MAX if low > _P_MAX else low
+    high = _P_MIN if high < _P_MIN else _P_MAX if high > _P_MAX else high
+    if rate_cap > capacity:
+        floor = _cap_floor(users, prices[1::n], capacity, eps_r, start)
+        if floor > start:
+            start = low = floor
+            high = high if high > floor else floor
     price, rates, converged = _clear_market(
         probe, capacity, params.max_outer_iters, tol_r, plateaus, start, low, high
     )

@@ -30,6 +30,14 @@ solves of each scenario group, one line per group: the section-5 sweep,
 run as one ``sweep`` so that its points reuse each other's solves, and the
 wide and many rings, seeds 0-1. A solve is counted once, however many
 reports hold its trace.
+
+    PYTHONPATH=src python tests/reference_outputs.py --fuzz
+
+writes nothing either. It runs 12,000 random carrier solves, 6,000 each
+from ``random.Random(7)`` and ``random.Random(8)``: 1 to 8 users, each a
+sigmoid or a log user with an offset half of the time, on a capacity
+from 1e-2 to 1e3. It prints one line: the converged solves, the summed
+probes and the most probes in one solve.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from carrieralloc import (
     Scenario,
     Sigmoidal,
     UserSpec,
+    dual_ascent,
     run,
     sweep,
     two_carrier_nine_user,
@@ -169,6 +178,26 @@ def probe_counts():
         yield f"{salt} seeds 0-1", distinct_probes(reports)
 
 
+def fuzz_summary() -> str:
+    """The fuzz's line: converged solves of all, summed probes, most probes in one."""
+    results = []
+    for seed in (7, 8):
+        rng = random.Random(seed)
+        for _ in range(6000):
+            entries = []
+            for uid in range(1, rng.randint(1, 8) + 1):
+                if rng.random() < 0.5:
+                    u = Sigmoidal(rng.uniform(0.5, 8.0), rng.uniform(5.0, 100.0))
+                else:
+                    u = Logarithmic(rng.uniform(0.5, 15.0), 100.0)
+                offset = rng.uniform(0.0, 30.0) if rng.random() < 0.5 else 0.0
+                entries.append((uid, u, offset))
+            results.append(dual_ascent(entries, 10.0 ** rng.uniform(-2.0, 3.0)))
+    probes = [res.iterations for res in results]
+    return (f"{sum(res.converged for res in results)} of {len(results)} converged, "
+            f"{sum(probes)} probes, worst {max(probes)}")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     mode = parser.add_mutually_exclusive_group()
@@ -180,6 +209,10 @@ def main(argv=None) -> None:
         "--probes", action="store_true",
         help="print the summed probes of each scenario group instead of writing the file",
     )
+    mode.add_argument(
+        "--fuzz", action="store_true",
+        help="print the converged solves and the probes of 12,000 random solves",
+    )
     args = parser.parse_args(argv)
     if args.digest:
         for name, scenario in scenarios():
@@ -188,6 +221,9 @@ def main(argv=None) -> None:
     if args.probes:
         for name, probes in probe_counts():
             print(f"{probes}  {name}")
+        return
+    if args.fuzz:
+        print(fuzz_summary())
         return
     lines = [
         f"{json.dumps(name)}: {json.dumps(summarize(scenario), separators=(',', ':'))}"

@@ -1,5 +1,6 @@
 """Carrier solver: fixed points and solve quality; the kernels' bid clamp."""
 
+import hashlib
 import math
 import random
 import sys
@@ -14,11 +15,14 @@ from carrieralloc import (
     log_marginal,
     net_benefit_maximizer,
     offered_price,
+    rate_cap_for,
+    run,
     sweep,
     two_carrier_nine_user,
 )
 from carrieralloc import _kernels_py as kernels
-from reference_outputs import SECTION5_CAPACITIES, distinct_probes
+from carrieralloc.enodeb import _cap_floor
+from reference_outputs import RING_DESIGNS, SECTION5_CAPACITIES, distinct_probes, ring_scenario
 
 SECTION_USERS = [
     (1, Sigmoidal(a=5.0, b=10.0)),
@@ -296,6 +300,15 @@ class TestProbeCounts:
         points = sweep(two_carrier_nine_user(), 1, SECTION5_CAPACITIES)
         assert distinct_probes(report for _, report in points) <= 2082
 
+    def test_many_carriers_rings_take_fewer_probes_in_all(self):
+        # the summed probes of the two many-carriers reference rings: 2,182
+        # when the bracket search started at the equal-share prices alone,
+        # where half the users, sigmoids, put the start near 1e-22 and the
+        # walk up probed prices at which every log user demands its cap
+        design = RING_DESIGNS["many-carriers"]
+        reports = [run(ring_scenario(design, seed, "many-carriers")) for seed in (0, 1)]
+        assert distinct_probes(reports) <= 1728
+
     @pytest.mark.parametrize("entries, capacity, bound", [
         # the root lies just above a plateau price and just below a zero
         # price; 776 probes when the bracket search walked from p = 1
@@ -315,6 +328,45 @@ class TestProbeCounts:
         res = dual_ascent(entries, capacity)
         assert res.converged
         assert res.iterations <= bound
+
+
+class TestCapFloor:
+    """The bracket search starts no lower than the highest cap price."""
+
+    def test_explicit_cap_at_most_the_capacity_keeps_every_bit(self):
+        # no user can demand more than the capacity, so no price is ruled
+        # out: these 300 solves keep the bits they had before the cap floor,
+        # whose repr digest this is
+        rng = random.Random(11)
+        results = []
+        for _ in range(300):
+            entries = []
+            for uid in range(1, rng.randint(1, 8) + 1):
+                if rng.random() < 0.5:
+                    u = Sigmoidal(rng.uniform(0.5, 8.0), rng.uniform(5.0, 100.0))
+                else:
+                    u = Logarithmic(rng.uniform(0.5, 15.0), 100.0)
+                entries.append((uid, u, rng.uniform(0.0, 30.0) if rng.random() < 0.5 else 0.0))
+            capacity = 10.0 ** rng.uniform(-2.0, 3.0)
+            rate_cap = capacity if rng.random() < 0.25 else capacity * rng.uniform(0.1, 1.0)
+            results.append(dual_ascent(entries, capacity, SolverParams(rate_cap=rate_cap)))
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == \
+            "ea4e23c78d5089c83beea3d7a26a516ebe86f2c38eec47ff05c3d9a44e1be719"
+
+    def test_cap_price_that_lost_its_digits_is_no_floor(self):
+        # a*b = 746: d underflows and s is subnormal at the cap 0.263, so the
+        # computed cap price reads 8.0, above the plateau price a = 7.57,
+        # where the user's rate is eps_r; the confirming response drops it
+        u = Sigmoidal(7.566187029167866, 98.60871631853058)
+        capacity = 0.13148124372806583
+        cap = rate_cap_for([(1, u, 0.0)], capacity, SolverParams())
+        row = u._row + (cap, 0.0, math.inf)
+        cap_prices = kernels.log_marginals([row], (cap,))
+        assert cap_prices[0] > u.a
+        assert _cap_floor([row], cap_prices, capacity, 1e-9, 1e-300) == 1e-300
+        res = offered_price([(1, u)], capacity)
+        assert res.converged
+        assert res.shadow_price < cap_prices[0]
 
 
 class TestKernelCalls:

@@ -20,8 +20,12 @@ user's response constants once per solve, gives the bits of the kernels'
 price and on every probe of random solves. So does a probe that skips a
 user past its zero price, where its offset covers its demand, on random
 solves whose zero prices lie near the clearing price, and no price the skip
-covers gives a nonzero rate. The offered price does not rise
-with the capacity, and no allocation prices above its carrier's discovery.
+covers gives a nonzero rate. The solve's one pass of log-marginals gives
+each row, share by share, the bits of ``log_marginal``, and under the
+default rate cap no price below the cap floor, the highest of the users'
+log-marginals at their caps, clears the capacity. The offered price does
+not rise with the capacity, and no allocation prices above its carrier's
+discovery.
 The allocation pass serves the carriers in the order that rounds of flags
 would, and each user's offset at a carrier is the sum of the rates it got
 from the carriers before it in its price order.
@@ -60,7 +64,7 @@ from carrieralloc import (
     with_capacity,
 )
 from carrieralloc import _kernels_py as kernels
-from carrieralloc.enodeb import _skip_from
+from carrieralloc.enodeb import _cap_floor, _skip_from
 from roundtrip import reference_crossings, round_trip_bound
 
 # The closed form is not exactly monotone: its rounding can raise a rate by
@@ -460,7 +464,7 @@ def assert_probes_equal_net_benefit(entries, capacity, rate_cap):
 
 
 # The solve skips an offset user's response at prices past its zero price,
-# read from log_marginal at the offset and confirmed by one response there.
+# read from the log-marginal at the offset and confirmed by one response there.
 # log_marginal loses its digits for sigmoids with a*b from about 708 to 745,
 # so these are drawn too, beside plateau-prone sigmoids and log users.
 abyss_sigmoids = st.builds(
@@ -515,8 +519,8 @@ def prices_from(start):
          r_cap=1e3)
 def test_no_rate_at_the_prices_a_probe_skips(u, offset, r_cap):
     fam, q1, q2 = kernel_params(u)
-    d, ad, omd = kernels.response_constants(fam, q1, q2)
-    start = _skip_from(fam, q1, q2, d, ad, omd, r_cap + offset, offset, EPS_RATE)
+    row = kernel_row(u) + (r_cap + offset, offset, math.inf)
+    start = _skip_from(row, kernels.log_marginals([row], (0.0,))[0], EPS_RATE)
     if start == math.inf:
         return
     for price in prices_from(start):
@@ -538,6 +542,46 @@ def test_skipped_responses_equal_net_benefit(solve):
     # every probe gives each user the bits of net_benefit, whether the solve
     # called the kernel for it or skipped it past its zero price
     assert_probes_equal_net_benefit(*solve)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    users=st.lists(st.tuples(st.one_of(utilities, plateau_sigmoids, deep_sigmoids), offsets),
+                   min_size=1, max_size=4),
+    shares=st.lists(st.one_of(st.just(0.0), log_uniform(-3.0, 3.0)), min_size=1, max_size=3),
+)
+def test_log_marginals_are_log_marginal_share_by_share(users, shares):
+    # the solve's one pass gives each row's prices, share by share, with the
+    # bits of log_marginal at the offset plus the share
+    table = [kernel_row(u) + (1e3 + c, c, math.inf) for u, c in users]
+    want = [kernels.log_marginal(*kernel_params(u), c + share)
+            for u, c in users for share in shares]
+    assert [bits(p) for p in kernels.log_marginals(table, shares)] == [bits(p) for p in want]
+
+
+# Below a user's cap price, its log-marginal at its offset plus the rate
+# cap, its rate is the cap, at least twice the capacity under the default
+# cap, so no price below the highest cap price clears. The sigmoids include
+# those whose s and d are subnormal at the cap, where the computed cap price
+# can lie above the plateau price a; the solve's floor drops such a price.
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    users=st.lists(st.tuples(st.one_of(solve_utilities, deep_sigmoids, abyss_sigmoids), offsets),
+                   min_size=1, max_size=8),
+    capacity=log_uniform(-2.0, 3.0),
+)
+@example(users=[(Sigmoidal(7.566187029167866, 98.60871631853058), 0.0)],
+         capacity=0.13148124372806583)
+def test_no_price_below_the_cap_floor_clears(users, capacity):
+    entries = [(uid, u, c) for uid, (u, c) in enumerate(users, 1)]
+    rate_cap = rate_cap_for(entries, capacity, SolverParams())
+    table = [kernel_row(u) + (rate_cap + c, c, math.inf) for u, c in users]
+    floor = _cap_floor(table, kernels.log_marginals(table, (rate_cap,)), capacity, EPS_RATE, 0.0)
+    if floor == 0.0:
+        return
+    price = floor * (1.0 - 1e-12)
+    demand = math.fsum(net_benefit_maximizer(u, price, c, rate_cap) for u, c in users)
+    assert demand > capacity
 
 
 # ROADMAP item 8: the offered price never rises with the capacity, and an

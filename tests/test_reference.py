@@ -6,7 +6,9 @@ solver change, tight enough to catch a flipped carrier order or any move
 above 1e-8. Regenerate the file with ``tests/reference_outputs.py``. Its
 ``--digest`` mode prints a line per scenario and leaves the file as it is;
 ``reference_digests.txt`` holds that printout, and a fresh one must equal
-it to the bit. Its ``--probes`` mode prints the summed probes per group.
+it to the bit. Its ``--probes`` mode prints the summed probes per group,
+and its ``--fuzz`` mode the converged solves and probes of 12,000 random
+carrier solves.
 """
 
 import json
@@ -85,4 +87,21 @@ def test_probes_mode_prints_one_line_per_group(capsys):
         assert re.fullmatch(r"[1-9][0-9]*  [a-z0-9 -]+", line), line
     name, probes = next(probe_counts())
     assert lines[0] == f"{probes}  {name}"
+    assert REFERENCE.read_bytes() == before
+
+
+def test_fuzz_mode_prints_one_line(capsys):
+    before = REFERENCE.read_bytes()
+    main(["--fuzz"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    found = re.fullmatch(r"([0-9]+) of 12000 converged, ([0-9]+) probes, worst ([0-9]+)",
+                         lines[0])
+    assert found, lines[0]
+    converged, probes, worst = map(int, found.groups())
+    # 11,876 converged, 104,480 probes and worst 69 before the cap floor
+    # raised the bracket search's start
+    assert converged == 11876
+    assert probes <= 101344
+    assert worst <= 69
     assert REFERENCE.read_bytes() == before
