@@ -28,4 +28,8 @@ class ConvergenceError(ProtocolError):
 
 
 class OracleError(RuntimeError):
-    """The centralized reference solver failed to meet its tolerance."""
+    """The centralized reference solver could not certify its rates.
+
+    Raised when no positive price brackets the capacity, or when the grid
+    cross-check of one or two users finds a better objective.
+    """

@@ -1,29 +1,40 @@
 """Independent centralized solver used to validate the iterative allocator.
 
 Maximizes the summed log-utility of (rate + offset) over the capped simplex
-{r >= 0, sum r <= R} by projected gradient ascent with a monotone
-backtracking step, plus an exhaustive grid pass for instances of one or two
-users. The route is deliberately primal, so it shares no machinery with the
-price-based dual ascent it cross-checks; the grid pass touches nothing but
-utility evaluations.
+{r >= 0, sum r <= R} by bisecting the carrier's price, the price
+decomposition of Kelly (1998) and Low & Lapsley (1999). At a price λ each
+user takes the largest r in [0, R] at which its log-marginal at c + r still
+exceeds λ, found by bisecting r; the price is bisected on whether the
+users' total demand reaches R; and the last bracket is split so that the
+rates fill R. Both bisections run down to adjacent floats, taking
+midpoints in the floats' bit patterns, which order non-negative floats as
+their values do and step nearly evenly in ln; so the price bisection is
+one of ln λ, and each takes at most 64 steps.
+
+The oracle shares ``log_marginal`` with the solver, but not the solver's
+closed-form response (``_kernels_py.net_rates``) nor its bracket search.
+Its price ranges over all positive floats, subnormals included, so it
+raises OracleError only where no such price brackets R: where the
+marginals underflow to zero before the demand reaches R, or read inf
+beyond it. For one or two users an exhaustive grid over the capacity
+face, which reads nothing but ``log_utility``, cross-checks the
+bisection's objective; it never replaces the rates.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
 
 from .errors import OracleError
-from .utility import EPS_RATE, UtilityFunction, _is_number, log_marginal, log_utility
+from .utility import UtilityFunction, _is_number, log_marginal, log_utility
 
 Entry = tuple[int, UtilityFunction, float]
 
-MAX_ITERS = 100_000
-# Gradients at the optimum never exceed realistic marginal scales; boundary
-# evaluations can blow up to ~1/EPS_RATE, which would make fixed steps
-# thrash, so clip them.
-GRAD_CLIP = 1e6
+_BITS = struct.Struct("<q")
+_FLOAT = struct.Struct("<d")
 
 
 @dataclass(frozen=True)
@@ -50,25 +61,6 @@ class ComparisonResult:
     passed: bool
 
 
-def project_capped_simplex(values: Sequence[float], total: float) -> list[float]:
-    """Euclidean projection onto {x >= 0, sum x <= total}."""
-    clipped = [v if v > 0.0 else 0.0 for v in values]
-    if sum(clipped) <= total:
-        return clipped
-    # Projection lands on the face sum x = total: classic sort-based rule.
-    u = sorted(values, reverse=True)
-    css = 0.0
-    rho = 0
-    theta = 0.0
-    for i, ui in enumerate(u, start=1):
-        css += ui
-        t = (css - total) / i
-        if ui - t > 0.0:
-            rho = i
-            theta = t
-    return [max(v - theta, 0.0) for v in values]
-
-
 def objective(instance: CentralizedInstance, rates: Mapping[int, float]) -> float:
     """Summed log-utility of (rate + offset); -inf off the domain."""
     f = 0.0
@@ -77,60 +69,58 @@ def objective(instance: CentralizedInstance, rates: Mapping[int, float]) -> floa
     return f
 
 
-def _objective_vec(instance: CentralizedInstance, r: Sequence[float]) -> float:
-    f = 0.0
-    for (uid, u, c), rj in zip(instance.entries, r):
-        f += log_utility(u, max(rj + c, 0.0))
-    return f
+def _bisect(lo: float, hi: float, above: Callable[[float], bool]) -> float:
+    """Largest float in [lo, hi) found above, assuming above(lo) and not above(hi).
+
+    The ends, both >= 0, are taken as given, not evaluated. Each midpoint
+    halves the gap between the ends' bit patterns, until they are adjacent.
+    """
+    i = _BITS.unpack(_FLOAT.pack(lo))[0]
+    j = _BITS.unpack(_FLOAT.pack(hi))[0]
+    while j - i > 1:
+        k = (i + j) // 2
+        if above(_FLOAT.unpack(_BITS.pack(k))[0]):
+            i = k
+        else:
+            j = k
+    return _FLOAT.unpack(_BITS.pack(i))[0]
 
 
-def _gradient(instance: CentralizedInstance, r: Sequence[float]) -> list[float]:
-    g = []
-    for (uid, u, c), rj in zip(instance.entries, r):
-        m = log_marginal(u, max(rj + c, EPS_RATE))
-        g.append(m if m < GRAD_CLIP else GRAD_CLIP)
-    return g
+def _rate(u: UtilityFunction, c: float, price: float, low: float, high: float) -> float:
+    """Largest r in [low, high] whose log-marginal at c + r exceeds the price.
+
+    ``low`` when none does.
+    """
+
+    def above(r: float) -> bool:
+        # the marginal's limit at 0 is +inf
+        return c + r == 0.0 or log_marginal(u, c + r) > price
+
+    if above(high):
+        return high
+    if not above(low):
+        return low
+    return _bisect(low, high, above)
 
 
-def _kkt_residual(instance: CentralizedInstance, r: Sequence[float]) -> float:
-    """Relative KKT defect: marginal spread among funded users plus unused
-    capacity while marginals are still positive."""
-    R = instance.capacity
-    mu = [
-        log_marginal(u, max(rj + c, EPS_RATE))
-        for (_, u, c), rj in zip(instance.entries, r)
-    ]
-    p_hat = max(mu)
-    scale = max(p_hat, 1e-9)
-    active_gap = 0.0
-    for rj, m in zip(r, mu):
-        if rj > 1e-9 * max(R, 1.0):
-            gap = abs(m - p_hat)
-            if gap > active_gap:
-                active_gap = gap
-    slack = R - sum(r)
-    slack_term = (slack / R) * p_hat if slack > 0.0 else 0.0
-    return max(active_gap, slack_term) / scale
+def _grid_best(instance: CentralizedInstance, points: int = 20001) -> float:
+    """Best objective on a grid over the capacity face, for <= 2 users.
 
-
-def _grid_best(instance: CentralizedInstance, points: int = 20001) -> list[float]:
-    """Exhaustive search for <= 2 users using only log-utility evaluations.
-
-    The objective is increasing in every coordinate (the log family is
-    treated as unclamped), so the optimum saturates the capacity and a
-    one-dimensional scan covers the two-user case. A second, finer scan
-    around the first winner refines it.
+    Uses only log-utility evaluations. The objective is increasing in every
+    coordinate (the log family is treated as unclamped), so the optimum
+    saturates the capacity and a one-dimensional scan covers the two-user
+    case. A second, finer scan around the first winner refines it.
     """
     R = instance.capacity
     if len(instance.entries) == 1:
-        return [R]
-    assert len(instance.entries) == 2
+        (uid, _, _), = instance.entries
+        return objective(instance, {uid: R})
+    (_, u1, c1), (_, u2, c2) = instance.entries
 
     def f(r1: float) -> float:
-        return _objective_vec(instance, [r1, R - r1])
+        return log_utility(u1, r1 + c1) + log_utility(u2, max(R - r1, 0.0) + c2)
 
     lo, hi = 0.0, R
-    best_x = 0.0
     for _ in range(2):
         step = (hi - lo) / (points - 1)
         best_x, best_f = lo, f(lo)
@@ -141,56 +131,59 @@ def _grid_best(instance: CentralizedInstance, points: int = 20001) -> list[float
                 best_f, best_x = fx, x
         lo = max(0.0, best_x - step)
         hi = min(R, best_x + step)
-    return [best_x, R - best_x]
+    return best_f
 
 
-def solve_centralized(
-    instance: CentralizedInstance, tolerance: float = 1e-4
-) -> dict[int, float]:
+def solve_centralized(instance: CentralizedInstance) -> dict[int, float]:
     """Rates maximizing the summed log-utility subject to the capacity.
 
-    Projected gradient ascent with backtracking: a candidate step is kept
-    only if it improves the objective, halving the step otherwise, which
-    keeps iterates off the -inf boundary and settles on the KKT point.
-    Raises OracleError if the KKT residual never reaches the tolerance.
+    Bisects the price over the positive floats, and each user's rate at a
+    price over [0, R], as the module docstring describes. Raises OracleError
+    when no positive price brackets the capacity: demand at the smallest
+    positive float falls short of it, or demand at the largest still
+    reaches it. For one or two users it also raises when the grid's
+    objective beats the bisection's by more than 1e-12 * max(1, |f|).
     """
-    m = len(instance.entries)
-    R = instance.capacity
-    r = [R / m] * m
-    f = _objective_vec(instance, r)
-    alpha0 = R / 10.0
-    alpha = alpha0
-    residual = math.inf
+    R = float(instance.capacity)
+    entries = [(uid, u, float(c)) for uid, u, c in instance.entries]
 
-    for _ in range(MAX_ITERS):
-        residual = _kkt_residual(instance, r)
-        if residual <= tolerance:
-            break
-        g = _gradient(instance, r)
-        cand = project_capped_simplex(
-            [rj + alpha * gj for rj, gj in zip(r, g)], R
-        )
-        fc = _objective_vec(instance, cand)
-        if fc > f:
-            r, f = cand, fc
-            alpha = min(alpha * 1.25, alpha0)
-        else:
-            alpha *= 0.5
-            if alpha < 1e-18 * alpha0:
-                break
+    def rates(price: float, low: list[float], high: list[float]) -> list[float]:
+        return [_rate(u, c, price, a, b) for (_, u, c), a, b in zip(entries, low, high)]
 
-    if m <= 2:
-        grid = _grid_best(instance)
-        if _objective_vec(instance, grid) >= f:
-            r = grid
-
-    residual = _kkt_residual(instance, r)
-    if residual > tolerance:
+    # Demand at the cheapest and the dearest positive price. Each user's
+    # rate at a price between two others lies between its rates there, so
+    # the rates at the bracket's ends bound every inner bisection.
+    lo, hi = 5e-324, 1.7976931348623157e308  # the least and greatest positive floats
+    r_lo = rates(lo, [0.0] * len(entries), [R] * len(entries))
+    r_hi = rates(hi, [0.0] * len(entries), r_lo)
+    if not math.fsum(r_lo) >= R > math.fsum(r_hi):
         raise OracleError(
-            f"projected gradient stalled at KKT residual {residual:.3g} "
-            f"(tolerance {tolerance:.3g})"
+            f"no positive price brackets capacity {R!r}: demand is "
+            f"{math.fsum(r_lo)!r} at price {lo!r} and {math.fsum(r_hi)!r} at {hi!r}"
         )
-    return {uid: rj for (uid, _, _), rj in zip(instance.entries, r)}
+
+    def fills(price: float) -> bool:
+        nonlocal r_lo, r_hi
+        r = rates(price, r_hi, r_lo)
+        if math.fsum(r) >= R:
+            r_lo = r
+            return True
+        r_hi = r
+        return False
+
+    _bisect(lo, hi, fills)
+    d_lo, d_hi = math.fsum(r_lo), math.fsum(r_hi)
+    theta = (R - d_hi) / (d_lo - d_hi)
+    result = {uid: b + theta * (a - b) for (uid, _, _), a, b in zip(entries, r_lo, r_hi)}
+
+    if len(entries) <= 2:
+        f = objective(instance, result)
+        grid = _grid_best(instance)
+        if grid - f > 1e-12 * max(1.0, abs(f)):
+            raise OracleError(
+                f"grid objective {grid!r} beats the bisection's {f!r}"
+            )
+    return result
 
 
 def compare(
