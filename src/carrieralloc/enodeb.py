@@ -65,6 +65,12 @@ equal-share, cap and zero prices of every user come from one
 
 Each probe is one trace step, which stores the posted price and the rates;
 the bids p * r_j are derived from them on demand rather than stored.
+``_clear_market`` makes each probe's kernel call on the user table itself
+and works out the probe's demand, g and ln p once. On a carrier of a few
+users a probe's bookkeeping costs about as much as its kernel call, and a
+solve's fixed work as much as a probe, so the hot path builds each step
+with ``tuple.__new__``, without the NamedTuple's Python-level ``__new__``,
+and the frozen result and trace from positional arguments.
 
 The paper's own clamped bid iteration stays in the kernels
 (``kernels.dual_ascent`` and ``kernels.fluctuation_clamp``), but no solve
@@ -79,7 +85,7 @@ import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from . import _kernels_py as kernels
 from .model import SolverParams
@@ -119,7 +125,9 @@ class TraceStep(NamedTuple):
         return tuple(p * r for r in self.rates)
 
 
-@dataclass(frozen=True)
+# Slotted: an instance takes a third less memory than one with a __dict__,
+# and the solve store and every report hold these.
+@dataclass(frozen=True, slots=True)
 class ConvergenceTrace:
     user_ids: tuple[int, ...]
     steps: tuple[TraceStep, ...]
@@ -128,7 +136,7 @@ class ConvergenceTrace:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualAscentResult:
     shadow_price: float
     rates: dict[int, float]
@@ -163,7 +171,8 @@ def rate_cap_for(
 
 
 def _clear_market(
-    probe: Callable[[float], TraceStep],
+    users: list,
+    eps_r: float,
     capacity: float,
     max_probes: int,
     tol: float,
@@ -171,12 +180,14 @@ def _clear_market(
     start: float,
     low: float,
     high: float,
-) -> tuple[float, tuple[float, ...], bool]:
-    """Root-find the price at which demand meets capacity: (price, rates, converged).
+) -> tuple[float, tuple[float, ...], bool, tuple[TraceStep, ...]]:
+    """Root-find the price at which demand meets capacity: (price, rates, converged, steps).
 
-    The bracket search stays within the positive normal floats. Its first
-    probe is at ``start``. If that probe does not bracket the clearing
-    price and its demand D is positive, the second is at
+    Each probe posts its price to the user table ``users`` in one
+    ``kernels.net_rates`` call, at the rate floor ``eps_r``, and is one step
+    of ``steps``. The bracket search stays within the positive normal
+    floats. Its first probe is at ``start``. If that probe does not bracket
+    the clearing price and its demand D is positive, the second is at
     start * (D/capacity)^3, kept within [``low``, ``high``], the equal-share
     bounds (see ``dual_ascent``). Where the cap floor lies above the
     equal-share start, ``start`` and ``low`` are that floor: no price below
@@ -208,6 +219,9 @@ def _clear_market(
       without the secant: a = 0. Failing both, the probe is the next
       float above the low end.
 
+    Each probe's demand, g and ln p are formed once, when it is made; the
+    ends keep theirs for every narrowing step they take part in.
+
     The bracket stays valid without assuming that demand is monotone,
     which the computed responses are only to a few ulps: each probe is
     classified by its own demand, so ``lo`` always holds a probe that
@@ -217,10 +231,14 @@ def _clear_market(
     between its two ends, or once the ends are adjacent floats and the
     price can be resolved no further.
     """
-    fsum = math.fsum
+    fsum, log, nextafter, inf, sub = math.fsum, math.log, math.nextafter, math.inf, operator.sub
+    net_rates = kernels.net_rates
+    new_step = tuple.__new__  # a TraceStep without the NamedTuple's Python __new__
+    steps: list[TraceStep] = []
     lo = hi = None  # probes with demand above / below capacity
     d_lo = d_hi = 0.0  # their demands
     g_lo = g_hi = 0.0  # log(demand / capacity) at lo and hi, Anderson-Bjorck-scaled
+    p_lo = p_hi = x_lo = x_hi = 0.0  # their prices, and the logs of those
     last = None  # the end the previous probe replaced
     end, demand = None, 0.0  # the latest probe and its demand
     plateau_prices = sorted(plateaus)
@@ -228,30 +246,32 @@ def _clear_market(
     t, step = math.log(start), 1.0  # log price of the next probe; bracket-search step
     t_low, t_high = math.log(low), math.log(high)
     converged = False
-    for k in range(max_probes):
+    for k in range(1, max_probes + 1):
         previous, d_previous = end, demand
-        end = probe(p)
+        rates = net_rates(users, p, eps_r)
+        end = new_step(TraceStep, (k, p, rates))
+        steps.append(end)
         # fsum is correctly rounded, so demand does not depend on the order
         # of the users
-        demand = fsum(end.rates)
+        demand = fsum(rates)
         if demand == capacity:
-            return end.price, end.rates, True
-        g = math.log(demand / capacity) if demand > 0.0 else -math.inf
+            return p, rates, True, tuple(steps)
+        g = log(demand / capacity) if demand > 0.0 else -inf
         if demand > capacity:
             if last == "lo":
                 g_hi *= _stale_scale(g, g_lo)
-            lo, d_lo, g_lo = end, demand, g
+            lo, d_lo, g_lo, p_lo, x_lo = end, demand, g, p, log(p)
             last = "lo"
         else:
             if last == "hi":
                 g_lo *= _stale_scale(g, g_hi)
-            hi, d_hi, g_hi = end, demand, g
+            hi, d_hi, g_hi, p_hi, x_hi = end, demand, g, p, log(p)
             last = "hi"
         if hi is None or lo is None:
             rising = hi is None  # every probe so far over-demands
             if p == (_P_MAX if rising else _P_MIN):
                 break  # no normal price clears this capacity
-            if k == 0 and demand > 0.0:
+            if k == 1 and demand > 0.0:
                 # the start scaled by the cube of its demand ratio, within
                 # the equal-share bounds; a product, since ** would raise
                 # OverflowError where the cube is merely inf
@@ -271,62 +291,70 @@ def _clear_market(
                 t = min(max(t, _T_MIN), _T_MAX)
                 p = _P_MIN if t == _T_MIN else _P_MAX if t == _T_MAX else math.exp(t)
             continue
-        gap = max(map(operator.sub, lo.rates, hi.rates))
-        if gap <= tol or math.nextafter(lo.price, math.inf) >= hi.price:
+        gap = max(map(sub, lo.rates, hi.rates))
+        if gap <= tol or nextafter(p_lo, inf) >= p_hi:
             converged = True
             break
-        i = bisect_right(plateau_prices, lo.price)
-        j = bisect_left(plateau_prices, hi.price)
-        if i < j:
-            p = plateau_prices[(i + j - 1) // 2]
-            continue
         share = tol / gap
         p = None
         if plateau_prices:
+            i = bisect_right(plateau_prices, p_lo)
+            j = bisect_left(plateau_prices, p_hi)
+            if i < j:
+                p = plateau_prices[(i + j - 1) // 2]
+                continue
             # the nearer of the plateau prices just below and just above
-            below = plateau_prices[i - 1] if i > 0 else -math.inf
-            above = plateau_prices[j] if j < len(plateau_prices) else math.inf
-            a = below if lo.price - below <= above - hi.price else above
+            below = plateau_prices[i - 1] if i > 0 else -inf
+            above = plateau_prices[j] if j < len(plateau_prices) else inf
+            a = below if p_lo - below <= above - p_hi else above
             band = PLATEAU_BAND * a
-            if abs(lo.price - a) <= band and abs(hi.price - a) <= band:
-                p = _narrow(a, plateaus[a], lo, hi, g_lo, g_hi, last, previous,
-                            d_previous - capacity, demand - capacity, share)
+            if abs(p_lo - a) <= band and abs(p_hi - a) <= band:
+                p = _narrow(a, plateaus[a], p_lo, p_hi, 0.0, 0.0, g_lo, g_hi, last,
+                            previous.price, d_previous - capacity, demand - capacity,
+                            share)
         if p is None:
-            p = _narrow(0.0, 0.0, lo, hi, g_lo, g_hi, last, None, 0.0, 0.0, share)
+            p = _narrow(0.0, 0.0, p_lo, p_hi, x_lo, x_hi, g_lo, g_hi, last,
+                        None, 0.0, 0.0, share)
         if p is None:
-            p = math.nextafter(lo.price, math.inf)
+            p = nextafter(p_lo, inf)
+    steps = tuple(steps)
     if lo is None or hi is None:
         end = hi if lo is None else lo
-        return end.price, end.rates, False
+        return end.price, end.rates, False, steps
     end, demand = (lo, d_lo) if d_lo - capacity <= capacity - d_hi else (hi, d_hi)
     if not converged:
-        return end.price, end.rates, False
+        return end.price, end.rates, False, steps
     if gap <= tol and demand > 0.0:
         scale = capacity / demand
-        return end.price, tuple(r * scale for r in end.rates), True
+        return end.price, tuple(r * scale for r in end.rates), True, steps
     # Demand jumps across capacity within the bracket, as on a sigmoid
     # plateau where one ulp of price moves a rate by far more than tol:
     # split the jump so that the rates fill the capacity exactly.
     theta = (capacity - d_hi) / (d_lo - d_hi)
-    return end.price, tuple(b + theta * (a - b) for a, b in zip(lo.rates, hi.rates)), True
+    return end.price, tuple(b + theta * (a - b) for a, b in zip(lo.rates, hi.rates)), True, steps
 
 
 def _narrow(
-    a: float, core: float, lo: TraceStep, hi: TraceStep, g_lo: float, g_hi: float,
-    last: str, previous: Union[TraceStep, None], e0: float, e1: float, share: float,
+    a: float, core: float, p_lo: float, p_hi: float, x_lo: float, x_hi: float,
+    g_lo: float, g_hi: float, last: str, p0: Union[float, None], e0: float, e1: float,
+    share: float,
 ) -> Union[float, None]:
     """Next narrowing probe, chosen in x = ln max(side * (p - a), floor).
 
-    The bracket lies on one side of a (side +1 above, -1 below). The floor
-    is the core of width ``core`` around a, and at least the next float
-    beyond a; a = 0 with core 0 gives x = ln p. Beside a sigmoid's plateau
-    price a, its response goes as ln|p - a| down to the core where it
-    levels off, so demand is nearly linear in x. The probe is placed by:
+    The bracket [``p_lo``, ``p_hi``] lies on one side of a (side +1 above,
+    -1 below). The floor is the core of width ``core`` around a, and at
+    least the next float beyond a. With a = 0 the step is taken in x = ln p,
+    and ``x_lo``, ``x_hi`` are the ends' logs, which the caller formed once
+    per probe; beside a plateau price the ends' x are formed here, and
+    ``x_lo``, ``x_hi`` are not read. Beside a sigmoid's plateau price a, its
+    response goes as ln|p - a| down to the core where it levels off, so
+    demand is nearly linear in x. The probe is placed by:
 
     1. The secant on demand - capacity through the end just replaced (e1)
-       and ``previous``, the probe before it (e0), if one is given, lies on
-       the bracket's side of a, and the secant lands inside the bracket;
-       else the regula falsi on the ends' Anderson-Bjorck-scaled g_lo, g_hi.
+       and ``p0``, the price of the probe before it (e0), if one is given,
+       lies on the bracket's side of a, and the secant lands inside the
+       bracket; else the regula falsi on the ends' Anderson-Bjorck-scaled
+       g_lo, g_hi.
     2. A two-probe certificate. With gap the largest rate difference across
        the bracket and ``share`` = tol/gap, a share w = share/2 of the
        bracket's width in x is roughly how far x can move while every rate
@@ -342,17 +370,20 @@ def _narrow(
     """
     # conditional expressions, not max and min: those builtin calls would
     # cost more than the rest of a step, which runs once per probe
-    side = 1.0 if lo.price >= a else -1.0
-    floor = abs(math.nextafter(a, side * math.inf) - a)
-    floor = core if core > floor else floor
-    h_lo, h_hi = side * (lo.price - a), side * (hi.price - a)
-    x_lo = math.log(h_lo if h_lo > floor else floor)
-    x_hi = math.log(h_hi if h_hi > floor else floor)
+    if a == 0.0:
+        side, floor = 1.0, 0.0  # p is a normal float, so ln p needs no floor
+    else:
+        side = 1.0 if p_lo >= a else -1.0
+        floor = abs(math.nextafter(a, side * math.inf) - a)
+        floor = core if core > floor else floor
+        h_lo, h_hi = side * (p_lo - a), side * (p_hi - a)
+        x_lo = math.log(h_lo if h_lo > floor else floor)
+        x_hi = math.log(h_hi if h_hi > floor else floor)
     if x_lo == x_hi:
         return None  # both ends lie within the core
     # the probe's place from x_lo (0) to x_hi (1)
     u = g_lo / (g_lo - g_hi) if -math.inf < g_hi < g_lo else 0.5
-    if previous is not None and (h0 := side * (previous.price - a)) >= 0.0:
+    if p0 is not None and (h0 := side * (p0 - a)) >= 0.0:
         x1 = x_lo if last == "lo" else x_hi
         if e0 != e1:
             x0 = math.log(h0 if h0 > floor else floor)
@@ -362,15 +393,15 @@ def _narrow(
     w = 0.5 * share
     if last == "lo":
         p = a + side * math.exp(x_lo + (u if u > w else w) * (x_hi - x_lo))
-        nearest = math.nextafter(lo.price, math.inf)
+        nearest = math.nextafter(p_lo, math.inf)
         p = p if p > nearest else nearest
     else:
         p = a + side * math.exp(x_lo + (u if u < 1.0 - w else 1.0 - w) * (x_hi - x_lo))
-        nearest = math.nextafter(hi.price, 0.0)
+        nearest = math.nextafter(p_hi, 0.0)
         p = p if p < nearest else nearest
-    if not lo.price < p < hi.price:
+    if not p_lo < p < p_hi:
         p = a + side * math.exp(0.5 * (x_lo + x_hi))
-    return p if lo.price < p < hi.price else None
+    return p if p_lo < p < p_hi else None
 
 
 def _stale_scale(g_new: float, g_old: float) -> float:
@@ -487,22 +518,21 @@ def dual_ascent(
         raise ValueError("entries must not be empty")
     if not (_is_number(capacity) and capacity > 0):
         raise ValueError(f"capacity must be > 0, got {capacity!r}")
-    user_ids = [uid for uid, _, _ in entries]
-    if len(set(user_ids)) != len(user_ids):
-        raise ValueError(f"duplicate user ids in entries: {user_ids}")
 
     capacity = float(capacity)
     rate_cap = rate_cap_for(entries, capacity, params)
-    # Each user's table row, formed once for all probes: the utility's
-    # kernel row with its cap, offset and the price from which its response
-    # is skipped (inf until its zero price is confirmed). And each sigmoid's
-    # plateau price a, with the widest core a*sqrt(d) around it within which
-    # a response no longer goes as ln|p - a|.
-    eps_r, tol_r = params.eps_r, params.tol_r
+    # Each user's id, and its table row, formed once for all probes: the
+    # utility's kernel row with its cap, offset and the price from which its
+    # response is skipped (inf until its zero price is confirmed). And each
+    # sigmoid's plateau price a, with the widest core a*sqrt(d) around it
+    # within which a response no longer goes as ln|p - a|.
+    eps_r = params.eps_r
+    user_ids = []
     users = []
     offset_rows = []  # the rows of the users with positive offsets
     plateaus: dict[float, float] = {}
     for uid, u, c in entries:
+        user_ids.append(uid)
         try:
             row = u._row
         except AttributeError:
@@ -518,7 +548,10 @@ def dual_ascent(
         plateau = u._plateau
         if plateau is not None:
             a, core = plateau
-            plateaus[a] = max(plateaus.get(a, 0.0), core)
+            if core >= plateaus.get(a, 0.0):
+                plateaus[a] = core
+    if len(set(user_ids)) != len(user_ids):
+        raise ValueError(f"duplicate user ids in entries: {user_ids}")
 
     # Every user's equal-share and cap price, and its zero price where any
     # user holds an offset, from one kernel pass: its log-marginal at
@@ -532,16 +565,6 @@ def dual_ascent(
         skip_from = _skip_from(users[i], prices[n * i + 2], eps_r)
         if skip_from < math.inf:
             users[i] = users[i][:-1] + (skip_from,)
-
-    net_rates = kernels.net_rates
-    steps: list[TraceStep] = []
-
-    def probe(p: float) -> TraceStep:
-        # the rates kernels.net_benefit gives, from one kernel call over the
-        # whole user table
-        step = TraceStep(len(steps) + 1, p, net_rates(users, p, eps_r))
-        steps.append(step)
-        return step
 
     # Sorted, so that the start does not depend on the order of the users.
     # The start and bounds are kept within the positive normal floats by
@@ -558,15 +581,13 @@ def dual_ascent(
         if floor > start:
             start = low = floor
             high = high if high > floor else floor
-    price, rates, converged = _clear_market(
-        probe, capacity, params.max_outer_iters, tol_r, plateaus, start, low, high
+    price, rates, converged, steps = _clear_market(
+        users, eps_r, capacity, params.max_outer_iters, params.tol_r, plateaus,
+        start, low, high,
     )
     return DualAscentResult(
-        shadow_price=price,
-        rates=dict(zip(user_ids, rates)),
-        trace=ConvergenceTrace(user_ids=tuple(user_ids), steps=tuple(steps)),
-        iterations=len(steps),
-        converged=converged,
+        price, dict(zip(user_ids, rates)), ConvergenceTrace(tuple(user_ids), steps),
+        len(steps), converged,
     )
 
 

@@ -74,29 +74,33 @@ class AllocationReport:
 class _Solves:
     """Carrier solve results by their keys: the current and the previous sweep point.
 
-    A key (see ``_solve_key``) holds the capacity, the solver parameters and
-    each covered user's id and offset, but not the users' utilities. The
-    store is bound to one scenario's ``users`` tuple, in which an id names
-    one utility, so a key holds everything a solve reads and a stored
-    result is exactly what the solve would return again. A point that
-    brings another ``users`` object starts from an empty store;
-    ``with_capacity`` keeps the object, so the points of one sweep share
-    it. A reused result is the same object, not a copy; ``run`` copies the
-    rates it reports.
+    A key (see ``_solve_key``) holds the capacity and each covered user's id
+    and offset, but neither the users' utilities nor the solver parameters.
+    The store is bound to one scenario's ``users`` tuple, in which an id
+    names one utility, and to one value of the parameters, so a key holds
+    everything a solve reads and a stored result is exactly what the solve
+    would return again. A point that brings another ``users`` object, or
+    parameters unequal to the store's, starts from an empty store;
+    ``with_capacity`` keeps the object, so the points of one sweep share it,
+    and equal parameters share results even when each point builds its own.
+    A reused result is the same object, not a copy; ``run`` copies the rates
+    it reports.
     """
 
     def __init__(self) -> None:
         self.users: Union[tuple, None] = None
+        self.params: Union[SolverParams, None] = None
         self.current: dict[tuple, DualAscentResult] = {}
         self.previous: dict[tuple, DualAscentResult] = {}
 
-    def next_point(self, users: tuple) -> None:
-        """Start a point of ``users``; results from two points back are dropped,
-        and so are the previous point's unless it had the same ``users``."""
-        if users is self.users:
+    def next_point(self, users: tuple, params: SolverParams) -> None:
+        """Start a point of ``users`` solved with ``params``; results from two
+        points back are dropped, and so are the previous point's unless it had
+        the same ``users`` and equal ``params``."""
+        if users is self.users and (params is self.params or params == self.params):
             self.previous, self.current = self.current, {}
         else:
-            self.users, self.previous, self.current = users, {}, {}
+            self.users, self.params, self.previous, self.current = users, params, {}, {}
 
     def find(self, key: tuple) -> Union[DualAscentResult, None]:
         """The result stored under ``key`` at this point or the previous one."""
@@ -130,36 +134,41 @@ def _reuse_between_points() -> Iterator[None]:
 
 
 def _solve_key(
-    capacity: float, params: SolverParams,
-    user_ids: tuple[int, ...], offsets: tuple[float, ...],
+    capacity: float, user_ids: tuple[int, ...], offsets: tuple[float, ...]
 ) -> tuple:
-    """What a carrier solve reads, less the utilities; equal keys give equal results.
+    """What a carrier solve reads, less the utilities and the parameters;
+    within one ``_Solves`` store, equal keys give equal results.
 
     The covered users' ids and their float offsets, in listing order, stand
-    for the pairs (id, offset). Utilities are left out: they are the costly
-    part to hash and compare, and within the one ``users`` tuple that a
-    ``_Solves`` is bound to, an id names one utility.
+    for the pairs (id, offset). The key holds only floats and ints, which
+    hash in C. Utilities are left out: they are the costly part to hash and
+    compare, and within the one ``users`` tuple that a ``_Solves`` is bound
+    to, an id names one utility. So are the ``SolverParams``, whose
+    generated ``__hash__`` is Python code that every lookup would run:
+    the store is bound to one value of them.
     """
-    return (float(capacity), params, user_ids, offsets)
+    return (float(capacity), user_ids, offsets)
 
 
 def _discover_prices(
-    scenario: Scenario, utility: dict, params: SolverParams, solves: _Solves
+    scenario: Scenario, utility: dict, params: SolverParams, solves: _Solves,
+    debug: bool,
 ) -> dict[int, DualAscentResult]:
     results = {}
     for carrier in scenario.carriers:
         covered = scenario.covered_users(carrier.id)
-        key = _solve_key(carrier.capacity, params, covered, (0.0,) * len(covered))
+        key = _solve_key(carrier.capacity, covered, (0.0,) * len(covered))
         res = solves.find(key)
         if res is None:
             users = [(uid, utility[uid]) for uid in covered]
             res = solves.add(key, offered_price(users, carrier.capacity, params))
         if not res.converged:
             raise ConvergenceError(carrier.id, "price discovery", res.iterations)
-        log.debug(
-            "carrier %d: offered price %.6g after %d probes",
-            carrier.id, res.shadow_price, res.iterations,
-        )
+        if debug:
+            log.debug(
+                "carrier %d: offered price %.6g after %d probes",
+                carrier.id, res.shadow_price, res.iterations,
+            )
         results[carrier.id] = res
     return results
 
@@ -177,10 +186,12 @@ def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> Allocat
     solves = _sweep_solves.get()
     if solves is None:
         solves = _Solves()
-    solves.next_point(scenario.users)
+    solves.next_point(scenario.users, params)
+    # once per run, not a log.debug call per solve
+    debug = log.isEnabledFor(logging.DEBUG)
     utility = {u.id: u.utility for u in scenario.users}
 
-    discovery = _discover_prices(scenario, utility, params, solves)
+    discovery = _discover_prices(scenario, utility, params, solves, debug)
     offered = {cid: res.shadow_price for cid, res in discovery.items()}
 
     # One walk over the price table's order gives every carrier its wave:
@@ -203,39 +214,46 @@ def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> Allocat
     # aggregate.
     received: dict[int, list[float]] = {uid: [] for uid in utility}
     total = dict.fromkeys(utility, 0.0)
-    results: dict[int, DualAscentResult] = {}
+    fsum = math.fsum
+    # the report's per-carrier tables, filled in processing order
+    allocation_prices: dict[int, float] = {}
+    allocated: dict[int, dict[int, float]] = {}
     offsets_used: dict[int, dict[int, float]] = {}
+    allocation_traces: dict[int, ConvergenceTrace] = {}
     for cid in processing_order:
         users = scenario.covered_users(cid)
         offsets = tuple([total[uid] for uid in users])
         capacity = scenario.carrier(cid).capacity
-        key = _solve_key(capacity, params, users, offsets)
+        key = _solve_key(capacity, users, offsets)
         res = solves.find(key)
         if res is None:
             entries = [(uid, utility[uid], c) for uid, c in zip(users, offsets)]
             res = solves.add(key, dual_ascent(entries, capacity, params))
         if not res.converged:
             raise ConvergenceError(cid, "allocation", res.iterations)
-        log.debug(
-            "carrier %d: allocated at price %.6g after %d probes",
-            cid, res.shadow_price, res.iterations,
-        )
-        results[cid] = res
-        offsets_used[cid] = dict(zip(users, offsets))
+        if debug:
+            log.debug(
+                "carrier %d: allocated at price %.6g after %d probes",
+                cid, res.shadow_price, res.iterations,
+            )
         rates = res.rates
+        allocation_prices[cid] = res.shadow_price
+        allocated[cid] = dict(rates)
+        offsets_used[cid] = dict(zip(users, offsets))
+        allocation_traces[cid] = res.trace
         for uid in users:
             got = received[uid]
             got.append(rates[uid])
-            total[uid] = math.fsum(got)
+            total[uid] = fsum(got)
 
     return AllocationReport(
         offered_prices=offered,
-        allocation_prices={cid: res.shadow_price for cid, res in results.items()},
-        rates={cid: dict(res.rates) for cid, res in results.items()},
+        allocation_prices=allocation_prices,
+        rates=allocated,
         offsets=offsets_used,
         aggregates=total,
         offered_traces={cid: res.trace for cid, res in discovery.items()},
-        allocation_traces={cid: res.trace for cid, res in results.items()},
+        allocation_traces=allocation_traces,
         processing_order=processing_order,
     )
 

@@ -204,6 +204,27 @@ class TestRunCommand:
         finally:
             logger.setLevel(level)
 
+    def test_debug_lines_of_each_solve_only_at_vv(self, tmp_path, caplog):
+        # the protocol asks once per run whether DEBUG is on, not per solve
+        def solves(argv):
+            caplog.clear()
+            assert run_cli(["run", "--preset", "section5", "--out",
+                            str(tmp_path / "out")] + argv) == 0
+            return [r.getMessage() for r in caplog.records
+                    if r.name == "carrieralloc.protocol" and r.levelno == logging.DEBUG]
+
+        logger = logging.getLogger("carrieralloc")
+        level = logger.level
+        try:
+            assert solves(["-v"]) == []
+            lines = solves(["-vv"])
+            assert [line.split(":")[0] for line in lines] == \
+                ["carrier 1", "carrier 2", "carrier 1", "carrier 2"]
+            assert all("after" in line and "probes" in line for line in lines)
+            assert solves([]) == []
+        finally:
+            logger.setLevel(level)
+
     def test_verbose_module_run_logs_its_report(self, tmp_path):
         # Run as ``python -m carrieralloc.cli``, the module is ``__main__``.
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -461,6 +482,11 @@ class TestParsing:
         assert values[0] == 50.0
         assert values[-1] == 200.0
         assert math.isclose(values[1] - values[0], 10.0)
+        # past ~10^7 points a fixed slack of 1e-9 steps is lost in the span,
+        # whose quotient falls short of the whole number of steps
+        _, values = cli._parse_sweep_spec("1=0:2999999.9:0.1")
+        assert len(values) == 30_000_000
+        assert math.isclose(values[-1], 2999999.9)
 
     def test_sweep_values_formed_on_demand(self):
         _, values = cli._parse_sweep_spec("1=50:200:10")

@@ -1,5 +1,6 @@
 """Carrier solver: fixed points and solve quality; the kernels' bid clamp."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -21,7 +22,7 @@ from carrieralloc import (
     two_carrier_nine_user,
 )
 from carrieralloc import _kernels_py as kernels
-from carrieralloc.enodeb import _cap_floor
+from carrieralloc.enodeb import TraceStep, _cap_floor
 from reference_outputs import RING_DESIGNS, SECTION5_CAPACITIES, distinct_probes, ring_scenario
 
 SECTION_USERS = [
@@ -38,6 +39,35 @@ LOG15_PRICE_AT_10 = 15.0 / (151.0 * math.log(151.0))
 
 def entries(users, offset=0.0):
     return [(uid, u, offset) for uid, u in users]
+
+
+def trace_instances():
+    """The section-5 solve, and seeded random solves whose probes skip users.
+
+    (entries, capacity, params) each. Half the random users hold an offset,
+    some large enough that their response falls below it at the probed
+    prices; half are sigmoids, whose plateau prices the solve probes; and
+    every fourth solve stops at a cap of 1 to 4 probes.
+    """
+    out = [(entries(SECTION_USERS), 100.0, SolverParams())]
+    rng = random.Random(5)
+    for n in range(60):
+        solve = []
+        for uid in range(1, rng.randint(1, 8) + 1):
+            if rng.random() < 0.5:
+                u = Sigmoidal(rng.uniform(0.5, 8.0), rng.uniform(5.0, 100.0))
+            else:
+                u = Logarithmic(rng.uniform(0.5, 15.0), 100.0)
+            offset = 0.0
+            if rng.random() < 0.5:
+                offset = rng.choice((rng.uniform(0.0, 30.0), 1e4))
+            solve.append((uid, u, offset))
+        params = SolverParams(max_outer_iters=rng.randint(1, 4)) if n % 4 == 3 else SolverParams()
+        out.append((solve, 10.0 ** rng.uniform(-2.0, 3.0), params))
+    return out
+
+
+TRACE_INSTANCES = trace_instances()
 
 
 class TestFluctuationClamp:
@@ -130,6 +160,17 @@ class TestDualAscentMechanics:
         indices = [s.iteration for s in res.trace.steps]
         assert indices == list(range(1, res.iterations + 1))
         assert res.trace.user_ids == (1, 2, 3, 4, 5, 6)
+        # and on random solves, converged or stopped by the probe cap
+        stopped = 0
+        for solve, capacity, params in TRACE_INSTANCES:
+            res = dual_ascent(solve, capacity, params)
+            indices = [s.iteration for s in res.trace.steps]
+            assert indices == list(range(1, res.iterations + 1))
+            assert res.iterations == len(res.trace) >= 1
+            assert res.iterations <= params.max_outer_iters
+            assert res.trace.user_ids == tuple(uid for uid, _, _ in solve)
+            stopped += not res.converged and res.iterations == params.max_outer_iters
+        assert stopped >= 5
 
     def test_trace_rows_have_all_users(self):
         res = dual_ascent(entries(SECTION_USERS), 100.0)
@@ -137,6 +178,30 @@ class TestDualAscentMechanics:
             assert len(step.bids) == len(SECTION_USERS)
             assert len(step.rates) == len(SECTION_USERS)
             assert step.price > 0
+        # and on random solves, among them probes at a sigmoid's plateau
+        # price and probes that skip users whose offsets cover their demand
+        plateau_probes = skipped = 0
+        for solve, capacity, params in TRACE_INSTANCES:
+            res = dual_ascent(solve, capacity, params)
+            plateaus = {u.a for _, u, _ in solve if isinstance(u, Sigmoidal)}
+            for step in res.trace.steps:
+                assert type(step) is TraceStep
+                assert step == (step.iteration, step.price, step.rates)
+                assert len(step.rates) == len(solve)
+                assert step.bids == tuple(step.price * r for r in step.rates)
+                assert step.price > 0
+                plateau_probes += step.price in plateaus
+                skipped += sum(r == 0.0 and c > 0.0 for r, (_, _, c) in zip(step.rates, solve))
+        assert plateau_probes >= 5
+        assert skipped >= 5
+
+    def test_result_and_trace_are_frozen(self):
+        res = dual_ascent(entries(SECTION_USERS), 100.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.shadow_price = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.trace.steps = ()
+        assert res.iterations == len(res.trace)
 
     def test_nonconvergence_flagged_not_raised(self):
         res = dual_ascent(entries(SECTION_USERS), 100.0,

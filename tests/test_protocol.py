@@ -327,6 +327,23 @@ class TestSolveReuse:
         assert report == run(second)
         assert report != run(first)
 
+    def test_store_is_bound_to_the_params(self, solve_calls):
+        # Keys hold no parameters: a point with unequal parameters must not
+        # be served the previous point's solves, and one with equal but
+        # distinct parameters is.
+        scenario = two_carrier_nine_user(80.0, 100.0)
+        loose = SolverParams(tol_r=1e-3)
+        with protocol._reuse_between_points():
+            run(scenario, loose)
+            solve_calls.clear()
+            report = run(scenario, SolverParams())
+            assert len(solve_calls) == 3
+            solve_calls.clear()
+            run(scenario, SolverParams())
+            assert solve_calls == []
+        assert report == run(scenario)
+        assert report != run(scenario, loose)
+
     def test_with_capacity_keeps_the_users_tuple(self):
         # which is what lets the points of a sweep share their solves
         scenario = two_carrier_nine_user()
