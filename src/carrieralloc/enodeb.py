@@ -27,14 +27,14 @@ not bracket the price is walked past.
 
 The rate cap gives a second lower bound. A user's response is capped at
 c_j + rate_cap, so below its cap price, its log-marginal at
-c_j + rate_cap, it takes the whole cap. The cap leaves headroom over the
-capacity (twice the capacity or more by default, see ``rate_cap_for``),
-so at those prices that user alone over-demands, and the clearing price
-lies above the cap floor, the highest cap price. Where the floor lies
-above the start, the search starts there and takes it as its lower bound.
-That happens where half the users are sigmoids whose equal-share prices
-lie far below every log user's: the search no longer walks up through
-prices at which the log users demand their caps and demand does not move.
+c_j + rate_cap, it takes the whole cap. The cap is at least twice the
+capacity (see ``rate_cap_for``), so at those prices that user alone
+over-demands, and the clearing price lies above the cap floor, the
+highest cap price. Where the floor lies above the start, the search
+starts there and takes it as its lower bound. That happens where half the
+users are sigmoids whose equal-share prices lie far below every log
+user's: the search no longer walks up through prices at which the log
+users demand their caps and demand does not move.
 
 Each probe costs up to one closed-form response per user, so the narrowing
 spends as few probes as it can. It probes plateau prices directly: a
@@ -89,9 +89,7 @@ from typing import Mapping, NamedTuple, Sequence, Union
 
 from . import _kernels_py as kernels
 from .model import SolverParams
-from .utility import Logarithmic, UtilityFunction, _is_number
-
-Entry = tuple[int, UtilityFunction, float]
+from .utility import EPS_RATE, TOL_RATE, Entry, Logarithmic, UtilityFunction, _is_number
 
 # Probes stay within the positive normal floats; a capacity that no such
 # price clears is reported as not converged.
@@ -146,9 +144,9 @@ class DualAscentResult:
 
 
 def rate_cap_for(
-    entries: Sequence[Entry], capacity: float, params: SolverParams
+    entries: Sequence[Entry], capacity: float, params: Union[SolverParams, None] = None
 ) -> float:
-    """Response cap: explicit override, or 2 * max(capacity, largest r_max).
+    """Response cap: 2 * max(capacity, largest r_max among the log utilities).
 
     The headroom factor matters: capping demand exactly at the capacity
     would let a single user demand exactly the capacity over a whole range
@@ -157,12 +155,11 @@ def rate_cap_for(
     to the capacity), while under-priced probes over-demand and so bracket
     the price from below. It is also what makes the cap floor a bound:
     below a user's cap price its rate is the cap, more than the capacity,
-    so the solve starts no lower than the highest cap price. An explicit
-    cap at or below the capacity leaves no headroom, and then the solve
-    forms no floor.
+    so the solve starts no lower than the highest cap price.
+
+    ``params`` is not read; it stays only because the benchmark's residual
+    check (``perfbench/checks.py``) passes it.
     """
-    if params.rate_cap is not None:
-        return float(params.rate_cap)
     cap = capacity
     for _, u, _ in entries:
         if isinstance(u, Logarithmic) and u.r_max > cap:
@@ -172,10 +169,8 @@ def rate_cap_for(
 
 def _clear_market(
     users: list,
-    eps_r: float,
     capacity: float,
     max_probes: int,
-    tol: float,
     plateaus: Mapping[float, float],
     start: float,
     low: float,
@@ -184,7 +179,7 @@ def _clear_market(
     """Root-find the price at which demand meets capacity: (price, rates, converged, steps).
 
     Each probe posts its price to the user table ``users`` in one
-    ``kernels.net_rates`` call, at the rate floor ``eps_r``, and is one step
+    ``kernels.net_rates`` call, at the rate floor EPS_RATE, and is one step
     of ``steps``. The bracket search stays within the positive normal
     floats. Its first probe is at ``start``. If that probe does not bracket
     the clearing price and its demand D is positive, the second is at
@@ -227,12 +222,12 @@ def _clear_market(
     classified by its own demand, so ``lo`` always holds a probe that
     over-demands and ``hi`` one that under-demands, and once both exist
     every probe lies strictly between their prices. The bracket certifies
-    the allocation once no user's response differs by more than ``tol``
+    the allocation once no user's response differs by more than TOL_RATE
     between its two ends, or once the ends are adjacent floats and the
     price can be resolved no further.
     """
     fsum, log, nextafter, inf, sub = math.fsum, math.log, math.nextafter, math.inf, operator.sub
-    net_rates = kernels.net_rates
+    net_rates, tol = kernels.net_rates, TOL_RATE
     new_step = tuple.__new__  # a TraceStep without the NamedTuple's Python __new__
     steps: list[TraceStep] = []
     lo = hi = None  # probes with demand above / below capacity
@@ -248,7 +243,7 @@ def _clear_market(
     converged = False
     for k in range(1, max_probes + 1):
         previous, d_previous = end, demand
-        rates = net_rates(users, p, eps_r)
+        rates = net_rates(users, p, EPS_RATE)
         end = new_step(TraceStep, (k, p, rates))
         steps.append(end)
         # fsum is correctly rounded, so demand does not depend on the order
@@ -410,7 +405,7 @@ def _stale_scale(g_new: float, g_old: float) -> float:
     return m if m > 0.0 else 0.5  # also when the ratio is undefined (nan)
 
 
-def _skip_from(row: tuple, offset_price: float, eps_r: float) -> float:
+def _skip_from(row: tuple, offset_price: float) -> float:
     """Lowest price at which a probe may skip this user's response: inf if none.
 
     ``row`` is the user's table row, and ``offset_price`` its log-marginal
@@ -430,33 +425,31 @@ def _skip_from(row: tuple, offset_price: float, eps_r: float) -> float:
     fam, q1, q2, d, ad, omd, x_cap, c, _ = row
     z = offset_price * (1.0 + ZERO_MARGIN)
     if 0.0 < z < math.inf and (
-        kernels.response(fam, q1, q2, d, ad, omd, z, x_cap, eps_r) <= c
+        kernels.response(fam, q1, q2, d, ad, omd, z, x_cap, EPS_RATE) <= c
     ):
         return z * (1.0 + ZERO_MARGIN)
     return math.inf
 
 
-def _cap_floor(
-    users: list, cap_prices: list, capacity: float, eps_r: float, start: float
-) -> float:
+def _cap_floor(users: list, cap_prices: list, capacity: float, start: float) -> float:
     """``start`` raised to the cap floor, if the floor lies above it and holds.
 
     ``cap_prices`` holds each user's cap price, its log-marginal at its
     cap c + rate_cap, in the order of the rows of ``users``. Below a user's
-    cap price its response stays at its cap, so its rate is rate_cap, which
-    the caller has checked exceeds the capacity: no price there clears.
+    cap price its response stays at its cap, so its rate is rate_cap, at
+    least twice the capacity (see ``rate_cap_for``): no price there clears.
     The cap floor, the highest cap price below the largest float, is kept
     only if the rate of its user there, from one response, confirms more
     than the capacity, since a sigmoid's log-marginal can lose its digits
     (s and d subnormal, or zero) and put the cap price above the user's
-    plateau price, where its rate falls to eps_r, or at inf.
+    plateau price, where its rate falls to EPS_RATE, or at inf.
     """
     floor = max(cap_prices)
     if floor >= _P_MAX:
         floor = max((q for q in cap_prices if q < _P_MAX), default=0.0)
     if floor > start:
         row = users[cap_prices.index(floor)]
-        if kernels.net_rates((row,), floor, eps_r)[0] > capacity:
+        if kernels.net_rates((row,), floor, EPS_RATE)[0] > capacity:
             return floor
     return start
 
@@ -477,17 +470,16 @@ def dual_ascent(
     at its offset plus capacity/m for m users, sorted so that the start
     does not depend on the order of the users: the first probe is the
     upper median of those below the largest float, and the lowest and
-    highest bound the search (see ``_clear_market``). When the rate cap
-    exceeds the capacity, as the default cap always does, a start below
-    the cap floor, the highest of the users' cap prices (log-marginals at
+    highest bound the search (see ``_clear_market``). A start below the
+    cap floor, the highest of the users' cap prices (log-marginals at
     c_j + rate_cap), is raised to the floor, and so is the lower bound:
-    below a user's cap price it demands its whole cap, more than the
-    capacity, so no price there clears. One response confirms the floor
-    (see ``_cap_floor``). A floor at or below the start is not used; it
-    could only stop a walk down, which rarely gets that far, and its
-    confirming response would cost every such solve. The equal-share, cap
-    and zero prices come from one ``kernels.log_marginals`` pass over the
-    user table.
+    below a user's cap price it demands its whole cap, at least twice the
+    capacity (see ``rate_cap_for``), so no price there clears. One
+    response confirms the floor (see ``_cap_floor``). A floor at or below
+    the start is not used; it could only stop a walk down, which rarely
+    gets that far, and its confirming response would cost every such
+    solve. The equal-share, cap and zero prices come from one
+    ``kernels.log_marginals`` pass over the user table.
     The steepness a of every sigmoid user is passed on as a plateau price,
     with the core a*sqrt(d) around it (d the sigmoid's normalizer) within
     which the user's response no longer goes as ln|p - a|: the solve
@@ -506,7 +498,7 @@ def dual_ascent(
     bits of ``kernels.net_benefit`` either way.
 
     ``converged`` is True only when the final price bracket certifies the
-    rates: no user's response differs by more than ``params.tol_r`` between
+    rates: no user's response differs by more than TOL_RATE between
     the bracket's two ends, or the ends are adjacent floats. The rates then
     sum to the capacity exactly. When the probe cap runs out, or no positive
     normal price clears the capacity, the flag is False, not an exception,
@@ -520,13 +512,12 @@ def dual_ascent(
         raise ValueError(f"capacity must be > 0, got {capacity!r}")
 
     capacity = float(capacity)
-    rate_cap = rate_cap_for(entries, capacity, params)
+    rate_cap = rate_cap_for(entries, capacity)
     # Each user's id, and its table row, formed once for all probes: the
     # utility's kernel row with its cap, offset and the price from which its
     # response is skipped (inf until its zero price is confirmed). And each
     # sigmoid's plateau price a, with the widest core a*sqrt(d) around it
     # within which a response no longer goes as ln|p - a|.
-    eps_r = params.eps_r
     user_ids = []
     users = []
     offset_rows = []  # the rows of the users with positive offsets
@@ -562,7 +553,7 @@ def dual_ascent(
     n = len(shares)
     prices = kernels.log_marginals(users, shares)
     for i in offset_rows:
-        skip_from = _skip_from(users[i], prices[n * i + 2], eps_r)
+        skip_from = _skip_from(users[i], prices[n * i + 2])
         if skip_from < math.inf:
             users[i] = users[i][:-1] + (skip_from,)
 
@@ -576,14 +567,12 @@ def dual_ascent(
     low, high = share_prices[0], share_prices[-1]
     low = _P_MIN if low < _P_MIN else _P_MAX if low > _P_MAX else low
     high = _P_MIN if high < _P_MIN else _P_MAX if high > _P_MAX else high
-    if rate_cap > capacity:
-        floor = _cap_floor(users, prices[1::n], capacity, eps_r, start)
-        if floor > start:
-            start = low = floor
-            high = high if high > floor else floor
+    floor = _cap_floor(users, prices[1::n], capacity, start)
+    if floor > start:
+        start = low = floor
+        high = high if high > floor else floor
     price, rates, converged, steps = _clear_market(
-        users, eps_r, capacity, params.max_outer_iters, params.tol_r, plateaus,
-        start, low, high,
+        users, capacity, params.max_outer_iters, plateaus, start, low, high,
     )
     return DualAscentResult(
         price, dict(zip(user_ids, rates)), ConvergenceTrace(tuple(user_ids), steps),

@@ -83,47 +83,36 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Settings of the carrier solve: the four values it reads.
+    """Settings of the carrier solve: the one value a caller sets.
 
     max_outer_iters: cap on the price probes of one carrier solve.
-    eps_r: floor of a user's rate at a price; the closed-form response is
-        clipped to [eps_r, rate_cap].
-    tol_r: certifies the solve: it converges once no user's rate differs
-        by more than tol_r between the two ends of the price bracket.
-    rate_cap: upper bound on a user's response; None picks
-        2 * max(capacity, largest r_max among the solve's log utilities).
 
-    The solve root-finds the market-clearing price and never runs the
-    paper's clamped bid iteration (``_kernels_py.dual_ascent``), so the
-    settings of that iteration are not fields. ``delta``, ``l1``, ``l2``
-    and ``bisect_max_iters`` below are fixed class constants. Their only
-    readers are the benchmark's solve hook (``perfbench/tracing.py``) and
-    its residual check (``perfbench/checks.py``); they go when those stop
-    reading them.
+    The rest are fixed class constants. ``eps_r`` is the floor of a user's
+    rate at a price (``EPS_RATE``), and ``tol_r`` certifies the solve
+    (``TOL_RATE``): it converges once no user's rate differs by more than
+    that between the two ends of the price bracket. The solve reads both
+    from ``utility`` directly, and its response cap from ``rate_cap_for``.
+    It root-finds the market-clearing price and never runs the paper's
+    clamped bid iteration (``_kernels_py.dual_ascent``), so ``delta``,
+    ``l1``, ``l2`` and ``bisect_max_iters`` change no result either. The
+    only readers of all six are the benchmark's solve hook
+    (``perfbench/tracing.py``) and its residual check
+    (``perfbench/checks.py``); they go when those stop reading them.
     """
 
     max_outer_iters: int = 10_000
-    eps_r: float = EPS_RATE
-    tol_r: float = TOL_RATE
-    rate_cap: Union[float, None] = None
 
+    eps_r: ClassVar[float] = EPS_RATE
+    tol_r: ClassVar[float] = TOL_RATE
     delta: ClassVar[float] = 1e-3
     l1: ClassVar[float] = 5.0
     l2: ClassVar[float] = 10.0
     bisect_max_iters: ClassVar[int] = BISECT_MAX_ITERS
 
     def __post_init__(self):
-        for name in ("eps_r", "tol_r"):
-            v = getattr(self, name)
-            if not (_is_number(v) and v > 0):
-                raise ValueError(f"{name} must be a positive number, got {v!r}")
         n = self.max_outer_iters
         if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
             raise ValueError(f"max_outer_iters must be an integer >= 1, got {n!r}")
-        if self.rate_cap is not None and not (
-            _is_number(self.rate_cap) and self.rate_cap > 0
-        ):
-            raise ValueError(f"rate_cap must be None or > 0, got {self.rate_cap!r}")
 
 
 def _set_indexes(s: Scenario, user_index: dict, covered_index: dict) -> None:

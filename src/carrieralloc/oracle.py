@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import OracleError
-from .utility import UtilityFunction, _is_number, log_marginal, log_utility
-
-Entry = tuple[int, UtilityFunction, float]
+from .utility import Entry, UtilityFunction, _is_number, log_marginal, log_utility
 
 _BITS = struct.Struct("<q")
 _FLOAT = struct.Struct("<d")
+# Points of each pass of the zooming grid (see _grid_best).
+_GRID_POINTS = 101
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,9 @@ class CentralizedInstance:
         for uid, _, c in self.entries:
             if not (_is_number(c) and c >= 0):
                 raise ValueError(f"user {uid}: offset must be >= 0, got {c!r}")
+        user_ids = [uid for uid, _, _ in self.entries]
+        if len(set(user_ids)) != len(user_ids):
+            raise ValueError(f"duplicate user ids in entries: {user_ids}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def _rate(u: UtilityFunction, c: float, price: float, low: float, high: float) -
     return _bisect(low, high, above)
 
 
-def _grid_best(instance: CentralizedInstance, points: int = 101) -> float:
+def _grid_best(instance: CentralizedInstance) -> float:
     """Best objective on a zooming grid over the capacity face, for <= 2 users.
 
     Uses only log-utility evaluations. The objective is increasing in every
@@ -111,9 +114,9 @@ def _grid_best(instance: CentralizedInstance, points: int = 101) -> float:
     saturates the capacity and a one-dimensional scan of r1 covers the
     two-user case. There the objective is concave in r1, since both
     log-marginals decrease, so the optimum lies within one step of the best
-    point of a scan. Each pass scans ``points`` evenly spaced points, and
-    the next one the two steps around the winner, until the step is below
-    R/(2*10^8): with 101 points, five passes reach R/(6.25*10^8).
+    point of a scan. Each pass scans _GRID_POINTS (101) evenly spaced
+    points, and the next one the two steps around the winner, until the
+    step is below R/(2*10^8): five passes reach R/(6.25*10^8).
     """
     R = instance.capacity
     if len(instance.entries) == 1:
@@ -126,9 +129,9 @@ def _grid_best(instance: CentralizedInstance, points: int = 101) -> float:
 
     lo, hi = 0.0, R
     while True:
-        step = (hi - lo) / (points - 1)
+        step = (hi - lo) / (_GRID_POINTS - 1)
         best_x, best_f = lo, f(lo)
-        for i in range(1, points):
+        for i in range(1, _GRID_POINTS):
             x = lo + i * step
             fx = f(x)
             if fx > best_f:

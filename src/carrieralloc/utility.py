@@ -127,6 +127,8 @@ class Logarithmic:
 # A types.UnionType, not typing.Union: typing caches its unions process-wide,
 # which would keep every re-imported copy of these classes alive.
 UtilityFunction = Sigmoidal | Logarithmic
+# One covered user of a carrier solve: (user id, utility, offset).
+Entry = tuple[int, UtilityFunction, float]
 
 
 def _kernel_row(u: UtilityFunction) -> tuple:
@@ -161,24 +163,18 @@ def log_marginal(u: UtilityFunction, r: float) -> float:
     return kernels.log_marginal(fam, q1, q2, r)
 
 
-def inverse_log_marginal(
-    u: UtilityFunction,
-    price: float,
-    r_cap: float,
-    *,
-    eps_r: float = EPS_RATE,
-) -> float:
-    """Rate in [eps_r, r_cap] where the log-marginal crosses ``price``.
+def inverse_log_marginal(u: UtilityFunction, price: float, r_cap: float) -> float:
+    """Rate in [EPS_RATE, r_cap] where the log-marginal crosses ``price``.
 
     Computed in closed form (see the module docstring); the crossing is
     clipped to the cap when it lies above r_cap (cap binds) and to the floor
-    when it lies below eps_r.
+    EPS_RATE when it lies below it.
     """
     if not (_is_number(price) and price > 0):
         raise ValueError(f"price must be finite and > 0, got {price!r}")
     if not (_is_number(r_cap) and r_cap > 0):
         raise ValueError(f"r_cap must be finite and > 0, got {r_cap!r}")
-    return kernels.response(*_kernel_row(u), price, r_cap, eps_r)
+    return kernels.response(*_kernel_row(u), price, r_cap, EPS_RATE)
 
 
 def net_benefit_maximizer(

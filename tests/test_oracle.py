@@ -35,6 +35,15 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="user 2: offset"):
             CentralizedInstance(entries=((1, self.U, 0.0), (2, self.U, bad)), capacity=10.0)
 
+    def test_duplicate_user_ids_rejected(self):
+        # one user's rate was lost from the result, which then fell short of
+        # the capacity
+        with pytest.raises(ValueError, match="duplicate user ids"):
+            CentralizedInstance(
+                entries=((1, Sigmoidal(5.0, 10.0), 0.0), (1, Logarithmic(3.0, 100.0), 0.0)),
+                capacity=50.0,
+            )
+
     def test_int_capacity_and_offset_accepted(self):
         inst = CentralizedInstance(entries=((1, self.U, 0), (2, self.U, 5)), capacity=10)
         assert inst.capacity == 10
