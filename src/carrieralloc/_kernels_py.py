@@ -15,12 +15,13 @@ sigmoid's d, a*d and 1 - d), and ``net_rates`` inverts the log-marginal at
 one price from those, for every row of a user table. The carrier solve
 forms its table once per solve, with r_cap + offset as each user's cap,
 and makes one ``net_rates`` call per probe, which loops over the table: a
-row whose offset covers its response at that price is skipped (see
-``enodeb``). ``response``, ``inverse_log_marginal`` and ``net_benefit``
-are one-row tables, so every path returns the same bits, which are also
-those of ``_kernels.c``. The log-marginal is split the same way:
-``log_marginal`` is one row of ``log_marginals``, with which the carrier
-solve forms every user's equal-share, cap and zero prices in one call.
+row at or above its skip price, which the solve sets once a probe has read
+the row's rate as 0.0, is 0.0 without a response (see ``enodeb``).
+``response``, ``inverse_log_marginal`` and ``net_benefit`` are one-row
+tables, so every path returns the same bits, which are also those of
+``_kernels.c``. The log-marginal is split the same way: ``log_marginal``
+is one row of ``log_marginals``, with which the carrier solve forms every
+user's equal-share and cap prices in one call.
 
 The log inverse's Newton loops count their steps down in a ``while``
 rather than iterate over ``range(_NEWTON_STEPS)``: a ``for`` would build a
@@ -147,8 +148,8 @@ def log_marginals(table, shares):
     ``out[i::len(shares)]`` holds the i-th share's prices. The rows are
     those of ``net_rates``; a row's d is the sigmoid's normalizer, and the
     log family reads neither d nor the other constants. The carrier solve
-    forms each user's equal-share, cap and zero prices from one call over
-    its user table, so the users cost no Python call each.
+    forms each user's equal-share and cap prices from one call over its
+    user table, so the users cost no Python call each.
     """
     exp, log1p = math.exp, math.log1p
     out = []

@@ -56,11 +56,13 @@ kernels' ``net_rates`` over that table, which computes a response for each
 user that the price can still move. A user holding an offset c answers
 exactly 0 at every price above its zero price, where its response falls
 below c. In the allocation phase many users' offsets cover their demand
-at most of the prices probed, so above a user's zero price the kernel
-writes its 0.0 without computing the response. The zero price comes from
-the log-marginal at c and is confirmed by one response per solve, so the
-rates keep the bits that a response would give (see ``_skip_from``). The
-equal-share, cap and zero prices of every user come from one
+at most of the prices probed, so once a probe reads a user's rate as 0.0,
+the kernel writes its 0.0 without computing the response at every later
+probe from ZERO_MARGIN above that price on. The response is monotone in
+the price to a few ulps, far less than that margin, so the rates keep the
+bits that a response would give, and the skip costs no response of its
+own: every row that a solve computes is a row of one of its probes. The
+equal-share and cap prices of every user come from one
 ``kernels.log_marginals`` pass over the table.
 
 Each probe is one trace step, which stores the posted price and the rates;
@@ -100,9 +102,9 @@ _T_MAX = math.log(_P_MAX)
 # Relative distance from a plateau price within which both bracket ends
 # must lie for the solve to narrow in ln|p - a| (see _clear_market).
 PLATEAU_BAND = 0.01
-# Relative margin of a user's zero price above its log-marginal at its
-# offset, and again of the prices at which its probe is skipped above that
-# (see _skip_from).
+# Relative margin above a probe's price from which the solve skips the
+# response of a user whose rate that probe read as exactly 0.0: far more
+# than the few ulps by which a response can rise with the price.
 ZERO_MARGIN = 1e-6
 
 
@@ -175,14 +177,22 @@ def _clear_market(
     start: float,
     low: float,
     high: float,
+    offset_rows: list,
 ) -> tuple[float, tuple[float, ...], bool, tuple[TraceStep, ...]]:
     """Root-find the price at which demand meets capacity: (price, rates, converged, steps).
 
     Each probe posts its price to the user table ``users`` in one
     ``kernels.net_rates`` call, at the rate floor EPS_RATE, and is one step
-    of ``steps``. The bracket search stays within the positive normal
-    floats. Its first probe is at ``start``. If that probe does not bracket
-    the clearing price and its demand D is positive, the second is at
+    of ``steps``. ``offset_rows`` indexes the rows of the users holding
+    offsets. When a probe reads such a row's rate as exactly 0.0, the row's
+    skip price, its last field, becomes ZERO_MARGIN above the probe's
+    price, from which the kernel writes 0.0 without a response; one count
+    of the probe's zeros tells whether a row still without a skip price
+    read 0.0 and needs one.
+
+    The bracket search stays within the positive normal floats. Its first
+    probe is at ``start``. If that probe does not bracket the clearing
+    price and its demand D is positive, the second is at
     start * (D/capacity)^3, kept within [``low``, ``high``], the equal-share
     bounds (see ``dual_ascent``). Where the cap floor lies above the
     equal-share start, ``start`` and ``low`` are that floor: no price below
@@ -204,7 +214,9 @@ def _clear_market(
       step, to the width of the core around a where that response levels
       off. While any plateau price lies strictly inside the bracket, the
       next probe is the middle one of those (the lower of the two middle
-      ones for an even count).
+      ones for an even count). A bracket more than 2*PLATEAU_BAND away
+      from every plateau price can neither hold one nor take a step beside
+      one, so it skips the search for them.
     - One narrowing step, ``_narrow``. When both ends lie within
       PLATEAU_BAND (1%) of a, the nearer of the plateau prices just below
       and just above the bracket, the step is taken in x = ln|p - a|,
@@ -237,6 +249,15 @@ def _clear_market(
     last = None  # the end the previous probe replaced
     end, demand = None, 0.0  # the latest probe and its demand
     plateau_prices = sorted(plateaus)
+    # the prices beyond which no bracket meets a plateau price or lies
+    # within PLATEAU_BAND of one, kept twice that far out against rounding
+    if plateau_prices:
+        plateau_low = plateau_prices[0] * (1.0 - 2.0 * PLATEAU_BAND)
+        plateau_high = plateau_prices[-1] * (1.0 + 2.0 * PLATEAU_BAND)
+    else:
+        plateau_low, plateau_high = inf, -inf
+    unskipped = offset_rows  # offset rows that every probe still computes
+    skipped = 0  # offset rows with a skip price
     p = start
     t, step = math.log(start), 1.0  # log price of the next probe; bracket-search step
     t_low, t_high = math.log(low), math.log(high)
@@ -244,6 +265,18 @@ def _clear_market(
     for k in range(1, max_probes + 1):
         previous, d_previous = end, demand
         rates = net_rates(users, p, EPS_RATE)
+        if unskipped and rates.count(0.0) > skipped:
+            # an offset row that reads 0.0 here reads 0.0 from ZERO_MARGIN
+            # above on: the kernel skips it there
+            skip_from = p * (1.0 + ZERO_MARGIN)
+            still = []
+            for i in unskipped:
+                if rates[i] == 0.0:
+                    users[i] = users[i][:-1] + (skip_from,)
+                else:
+                    still.append(i)
+            skipped += len(unskipped) - len(still)
+            unskipped = still
         end = new_step(TraceStep, (k, p, rates))
         steps.append(end)
         # fsum is correctly rounded, so demand does not depend on the order
@@ -292,7 +325,7 @@ def _clear_market(
             break
         share = tol / gap
         p = None
-        if plateau_prices:
+        if p_lo <= plateau_high and p_hi >= plateau_low:
             i = bisect_right(plateau_prices, p_lo)
             j = bisect_left(plateau_prices, p_hi)
             if i < j:
@@ -405,32 +438,6 @@ def _stale_scale(g_new: float, g_old: float) -> float:
     return m if m > 0.0 else 0.5  # also when the ratio is undefined (nan)
 
 
-def _skip_from(row: tuple, offset_price: float) -> float:
-    """Lowest price at which a probe may skip this user's response: inf if none.
-
-    ``row`` is the user's table row, and ``offset_price`` its log-marginal
-    at its offset c, which ``kernels.log_marginals`` forms with the other
-    prices of the solve. A user whose offset c is positive has a zero price
-    z, that log-marginal raised by ZERO_MARGIN: above z the user's response
-    x* falls below c, and its rate max(0, x* - c) is exactly 0.0. The zero
-    price is kept only if the response at z confirms a rate of 0.0, since
-    the log-marginal can lose most of its digits (sigmoids with a*b from
-    about 708 to 745) and put z where the rate is still positive. The
-    response is monotone in the price only to a few ulps, so the skip
-    starts ZERO_MARGIN above z, where the response has fallen by far more
-    than that.
-
-    At c = 0 the log-marginal, and so z, is inf, and the result is inf too.
-    """
-    fam, q1, q2, d, ad, omd, x_cap, c, _ = row
-    z = offset_price * (1.0 + ZERO_MARGIN)
-    if 0.0 < z < math.inf and (
-        kernels.response(fam, q1, q2, d, ad, omd, z, x_cap, EPS_RATE) <= c
-    ):
-        return z * (1.0 + ZERO_MARGIN)
-    return math.inf
-
-
 def _cap_floor(users: list, cap_prices: list, capacity: float, start: float) -> float:
     """``start`` raised to the cap floor, if the floor lies above it and holds.
 
@@ -475,11 +482,12 @@ def dual_ascent(
     c_j + rate_cap), is raised to the floor, and so is the lower bound:
     below a user's cap price it demands its whole cap, at least twice the
     capacity (see ``rate_cap_for``), so no price there clears. One
-    response confirms the floor (see ``_cap_floor``). A floor at or below
-    the start is not used; it could only stop a walk down, which rarely
-    gets that far, and its confirming response would cost every such
-    solve. The equal-share, cap and zero prices come from one
-    ``kernels.log_marginals`` pass over the user table.
+    response confirms the floor (see ``_cap_floor``), the solve's one
+    kernel call outside its probes. A floor at or below the start is not
+    used; it could only stop a walk down, which rarely gets that far, and
+    its confirming response would cost every such solve. The equal-share
+    and cap prices come from one ``kernels.log_marginals`` pass over the
+    user table.
     The steepness a of every sigmoid user is passed on as a plateau price,
     with the core a*sqrt(d) around it (d the sigmoid's normalizer) within
     which the user's response no longer goes as ln|p - a|: the solve
@@ -489,13 +497,13 @@ def dual_ascent(
 
     The solve reads each utility's kernel row and plateau, which the
     utility formed once at construction (see ``utility``), so a user costs
-    no per-solve work beyond its cap, its offset, its three prices and, for
-    a positive offset, the response that confirms its zero price. Each
+    no per-solve work beyond its cap, its offset and its two prices. Each
     probe costs one kernel call, which computes one response per user that
     the probe can still move. A user with a positive offset is skipped, its
-    rate set to 0.0, at probes above its zero price, past which its
-    response stays below its offset (see ``_skip_from``). The rates are the
-    bits of ``kernels.net_benefit`` either way.
+    rate set to 0.0, at the probes from ZERO_MARGIN above the first probe
+    that read its rate as 0.0 (see ``_clear_market``): its response stays
+    below its offset there. The rates are the bits of
+    ``kernels.net_benefit`` either way.
 
     ``converged`` is True only when the final price bracket certifies the
     rates: no user's response differs by more than TOL_RATE between
@@ -515,7 +523,7 @@ def dual_ascent(
     rate_cap = rate_cap_for(entries, capacity)
     # Each user's id, and its table row, formed once for all probes: the
     # utility's kernel row with its cap, offset and the price from which its
-    # response is skipped (inf until its zero price is confirmed). And each
+    # response is skipped (inf until a probe reads its rate as 0.0). And each
     # sigmoid's plateau price a, with the widest core a*sqrt(d) around it
     # within which a response no longer goes as ln|p - a|.
     user_ids = []
@@ -544,35 +552,26 @@ def dual_ascent(
     if len(set(user_ids)) != len(user_ids):
         raise ValueError(f"duplicate user ids in entries: {user_ids}")
 
-    # Every user's equal-share and cap price, and its zero price where any
-    # user holds an offset, from one kernel pass: its log-marginal at
-    # c + capacity/m, at its cap c + rate_cap, and at c
-    shares = (capacity / len(users), rate_cap)
-    if offset_rows:
-        shares += (0.0,)
-    n = len(shares)
-    prices = kernels.log_marginals(users, shares)
-    for i in offset_rows:
-        skip_from = _skip_from(users[i], prices[n * i + 2])
-        if skip_from < math.inf:
-            users[i] = users[i][:-1] + (skip_from,)
+    # Every user's equal-share and cap price from one kernel pass: its
+    # log-marginal at c + capacity/m and at its cap c + rate_cap
+    prices = kernels.log_marginals(users, (capacity / len(users), rate_cap))
 
     # Sorted, so that the start does not depend on the order of the users.
     # The start and bounds are kept within the positive normal floats by
     # conditional expressions: min and max calls cost more, once per solve.
-    share_prices = sorted(prices[0::n])
+    share_prices = sorted(prices[0::2])
     finite = bisect_left(share_prices, _P_MAX)
     start = share_prices[finite // 2] if finite else _P_MAX
     start = start if start > _P_MIN else _P_MIN
     low, high = share_prices[0], share_prices[-1]
     low = _P_MIN if low < _P_MIN else _P_MAX if low > _P_MAX else low
     high = _P_MIN if high < _P_MIN else _P_MAX if high > _P_MAX else high
-    floor = _cap_floor(users, prices[1::n], capacity, start)
+    floor = _cap_floor(users, prices[1::2], capacity, start)
     if floor > start:
         start = low = floor
         high = high if high > floor else floor
     price, rates, converged, steps = _clear_market(
-        users, capacity, params.max_outer_iters, plateaus, start, low, high,
+        users, capacity, params.max_outer_iters, plateaus, start, low, high, offset_rows,
     )
     return DualAscentResult(
         price, dict(zip(user_ids, rates)), ConvergenceTrace(tuple(user_ids), steps),

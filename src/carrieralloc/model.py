@@ -293,20 +293,31 @@ def with_capacity(s: Scenario, carrier_id: int, capacity: float) -> Scenario:
     its user and coverage indexes, and rebuilds only its carriers and their
     index. It equals, and answers every lookup as, a Scenario built afresh
     from the new carriers and ``s.users``.
+
+    A sweep makes one copy a point, so the copy and its new carrier are
+    made without their frozen ``__init__``: each instance dict is filled in
+    one update, not one ``object.__setattr__`` a field.
     """
-    if carrier_id not in s._carrier_index:
-        raise ScenarioError(f"no carrier with id {carrier_id}")
+    try:
+        old = s._carrier_index[carrier_id]
+    except KeyError:
+        raise ScenarioError(f"no carrier with id {carrier_id}") from None
     if not (_is_number(capacity) and capacity > 0):
         raise ScenarioError(
             f"carrier {carrier_id}: capacity must be > 0, got {capacity!r}"
         )
-    capacity = float(capacity)
+    new = object.__new__(CarrierSpec)
+    new.__dict__.update(id=old.id, capacity=float(capacity))
+    carrier_index = s._carrier_index.copy()
+    carrier_index[old.id] = new
     out = object.__new__(Scenario)
-    object.__setattr__(out, "carriers", tuple(
-        CarrierSpec(c.id, capacity) if c.id == carrier_id else c for c in s.carriers
-    ))
-    object.__setattr__(out, "users", s.users)
-    _set_indexes(out, s._user_index, s._covered_index)
+    out.__dict__.update(
+        carriers=tuple(new if c.id == old.id else c for c in s.carriers),
+        users=s.users,
+        _carrier_index=carrier_index,
+        _user_index=s._user_index,
+        _covered_index=s._covered_index,
+    )
     return out
 
 

@@ -31,6 +31,13 @@ run as one ``sweep`` so that its points reuse each other's solves, and the
 wide and many rings, seeds 0-1. A solve is counted once, however many
 reports hold its trace.
 
+    PYTHONPATH=src python tests/reference_outputs.py --calls
+
+writes nothing either. For the same groups it prints the kernel calls
+and the rows they computed, one line per group: every ``net_rates`` call
+counts, one-row tables too, and a row counts unless the call skipped it
+at or above its skip price.
+
     PYTHONPATH=src python tests/reference_outputs.py --fuzz
 
 writes nothing either. It runs 12,000 random carrier solves, 6,000 each
@@ -47,6 +54,7 @@ import hashlib
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -64,6 +72,7 @@ from carrieralloc import (
     two_carrier_nine_user,
     with_capacity,
 )
+from carrieralloc import _kernels_py as kernels
 
 REFERENCE = Path(__file__).with_name("reference_outputs.json")
 DIGESTS = Path(__file__).with_name("reference_digests.txt")
@@ -169,13 +178,51 @@ def distinct_probes(reports: Iterable[AllocationReport]) -> int:
     return sum(len(trace) for trace in traces.values())
 
 
+def group_reports():
+    """(group name, its reports) for each scenario group, each run when it comes up."""
+    points = sweep(two_carrier_nine_user(), 1, SECTION5_CAPACITIES)
+    yield "section5 sweep", [report for _, report in points]
+    for salt, design in RING_DESIGNS.items():
+        yield f"{salt} seeds 0-1", [run(ring_scenario(design, seed, salt)) for seed in (0, 1)]
+
+
 def probe_counts():
     """(group name, summed probes) for each scenario group."""
-    points = sweep(two_carrier_nine_user(), 1, SECTION5_CAPACITIES)
-    yield "section5 sweep", distinct_probes(report for _, report in points)
-    for salt, design in RING_DESIGNS.items():
-        reports = [run(ring_scenario(design, seed, salt)) for seed in (0, 1)]
-        yield f"{salt} seeds 0-1", distinct_probes(reports)
+    for name, reports in group_reports():
+        yield name, distinct_probes(reports)
+
+
+@contextmanager
+def counting_kernel_calls():
+    """Count the kernel's work while the block runs: yields [calls, rows].
+
+    Counted by wrapping ``_kernels_py.net_rates``, which every response of
+    the package goes through. A row is computed unless the price is at or
+    above its skip price, its last field: a one-row table's NaN never is.
+    """
+    counts = [0, 0]
+    real = kernels.net_rates
+
+    def counting(table, price, eps_r):
+        counts[0] += 1
+        counts[1] += sum(not price >= row[-1] for row in table)
+        return real(table, price, eps_r)
+
+    kernels.net_rates = counting
+    try:
+        yield counts
+    finally:
+        kernels.net_rates = real
+
+
+def kernel_calls() -> list[tuple[str, int, int]]:
+    """(group name, kernel calls, rows computed) for each scenario group."""
+    out = []
+    with counting_kernel_calls() as counts:
+        for name, _ in group_reports():
+            out.append((name, *counts))
+            counts[:] = [0, 0]
+    return out
 
 
 def fuzz_summary() -> str:
@@ -210,6 +257,10 @@ def main(argv=None) -> None:
         help="print the summed probes of each scenario group instead of writing the file",
     )
     mode.add_argument(
+        "--calls", action="store_true",
+        help="print the kernel calls and the rows they computed for each scenario group",
+    )
+    mode.add_argument(
         "--fuzz", action="store_true",
         help="print the converged solves and the probes of 12,000 random solves",
     )
@@ -221,6 +272,10 @@ def main(argv=None) -> None:
     if args.probes:
         for name, probes in probe_counts():
             print(f"{probes}  {name}")
+        return
+    if args.calls:
+        for name, calls, rows in kernel_calls():
+            print(f"{calls} calls  {rows} rows  {name}")
         return
     if args.fuzz:
         print(fuzz_summary())

@@ -22,7 +22,13 @@ from carrieralloc import (
 )
 from carrieralloc import _kernels_py as kernels
 from carrieralloc.enodeb import TraceStep, _cap_floor
-from reference_outputs import RING_DESIGNS, SECTION5_CAPACITIES, distinct_probes, ring_scenario
+from reference_outputs import (
+    RING_DESIGNS,
+    SECTION5_CAPACITIES,
+    counting_kernel_calls,
+    distinct_probes,
+    ring_scenario,
+)
 
 SECTION_USERS = [
     (1, Sigmoidal(a=5.0, b=10.0)),
@@ -416,27 +422,24 @@ class TestCapFloor:
 class TestKernelCalls:
     """Probes skip the users whose offsets already cover their demand."""
 
-    def test_covered_users_cost_one_call_per_solve(self, monkeypatch):
+    def test_covered_users_cost_one_call_per_solve(self):
         # 3 users without offsets clear the capacity near p = 0.03; the other
         # 12 hold offsets that their responses fall below at every probed
-        # price, so after one confirming response each they cost none. A
-        # call is a row whose response the kernel computes: one whose
-        # skip_from, its last field, lies above the price.
-        calls = []
-        real = kernels.net_rates
-
-        def counting(table, price, eps_r):
-            calls.extend(row for row in table if price < row[-1])
-            return real(table, price, eps_r)
-
-        monkeypatch.setattr(kernels, "net_rates", counting)
+        # price, so once the first probe reads each of them 0.0 they cost no
+        # row. Every net_rates call counts, one-row tables too, and so does
+        # every row that it computes: all but those at or above their
+        # skip_from, the last field. The cap floor's response is the one
+        # call outside a probe.
         free = [(uid, Logarithmic(k=3.0, r_max=100.0), 0.0) for uid in (1, 2, 3)]
         covered = [(uid, Logarithmic(k=0.5 + uid, r_max=100.0), 1e4) for uid in range(4, 10)]
         covered += [(uid, Sigmoidal(a=1.0 + 0.5 * uid, b=20.0), 60.0) for uid in range(10, 16)]
-        res = dual_ascent(free + covered, 30.0)
+        with counting_kernel_calls() as counts:
+            res = dual_ascent(free + covered, 30.0)
+        calls, rows = counts
         assert res.converged
         assert all(res.rates[uid] == 0.0 for uid, _, _ in covered)
-        assert len(calls) <= len(free) * res.iterations + len(covered)
+        assert calls == res.iterations + 1
+        assert rows <= len(free) * res.iterations + len(covered) + 1
 
     def test_kernel_skips_rows_priced_out(self):
         # a row at or above its skip_from is 0.0 without a response: this

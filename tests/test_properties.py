@@ -19,13 +19,13 @@ user's response constants once per solve, gives the bits of the kernels'
 ``net_benefit``, on the kernel alone near and far from a sigmoid's plateau
 price and on every probe of random solves. So does a probe that skips a
 user past its zero price, where its offset covers its demand, on random
-solves whose zero prices lie near the clearing price, and no price the skip
-covers gives a nonzero rate. The solve's one pass of log-marginals gives
-each row, share by share, the bits of ``log_marginal``, and under the
-default rate cap no price below the cap floor, the highest of the users'
-log-marginals at their caps, clears the capacity. The offered price does
-not rise with the capacity, and no allocation prices above its carrier's
-discovery.
+solves whose zero prices lie near the clearing price; and a rate that reads
+0.0 at one price reads 0.0 at every price that the skip it starts covers.
+The solve's one pass of log-marginals gives each row, share by share, the
+bits of ``log_marginal``, and under the default rate cap no price below the
+cap floor, the highest of the users' log-marginals at their caps, clears
+the capacity. The offered price does not rise with the capacity, and no
+allocation prices above its carrier's discovery.
 The allocation pass serves the carriers in the order that rounds of flags
 would, and each user's offset at a carrier is the sum of the rates it got
 from the carriers before it in its price order.
@@ -64,7 +64,7 @@ from carrieralloc import (
     with_capacity,
 )
 from carrieralloc import _kernels_py as kernels
-from carrieralloc.enodeb import _cap_floor, _skip_from
+from carrieralloc.enodeb import ZERO_MARGIN, _cap_floor
 from roundtrip import reference_crossings, round_trip_bound
 
 # The closed form is not exactly monotone: its rounding can raise a rate by
@@ -468,10 +468,11 @@ def assert_probes_equal_net_benefit(entries, capacity):
         assert [bits(r) for r in step.rates] == [bits(r) for r in want]
 
 
-# The solve skips an offset user's response at prices past its zero price,
-# read from the log-marginal at the offset and confirmed by one response there.
-# log_marginal loses its digits for sigmoids with a*b from about 708 to 745,
-# so these are drawn too, beside plateau-prone sigmoids and log users.
+# Once a probe reads an offset user's rate as exactly 0.0, the solve skips
+# its response from ZERO_MARGIN above that price on. Its zero price, where
+# its response falls to its offset, lies near its log-marginal at the
+# offset, which loses its digits for sigmoids with a*b from about 708 to
+# 745, so these are drawn too, beside plateau-prone sigmoids and log users.
 abyss_sigmoids = st.builds(
     lambda a, ab: Sigmoidal(a=a, b=ab / a), a=log_uniform(-1.0, 1.7), ab=st.floats(700.0, 750.0)
 )
@@ -518,27 +519,41 @@ def prices_from(start):
     u=st.one_of(sigmoids, zero_price_utilities),
     offset=log_uniform(-7.0, 2.5),
     r_cap=log_uniform(-15.0, 3.0),
+    rise=st.one_of(st.just(0.0), log_uniform(-9.0, 0.0)),
 )
 # At this log user's log_marginal at the offset the rate is 0.0, and one
-# float higher it is positive again: the margins keep the skip clear of it.
-# The sigmoid's log_marginal has lost its digits (a*b = 730).
-@example(u=Logarithmic(2.6115180947585896, 100.0), offset=2.287476777298165, r_cap=1e3)
+# float higher it is positive again: the margin keeps the skip clear of it.
+# The sigmoid's log_marginal has lost its digits (a*b = 730): its rate is
+# still positive there and 10% above it, and reads 0.0 11% above it.
+@example(u=Logarithmic(2.6115180947585896, 100.0), offset=2.287476777298165, r_cap=1e3,
+         rise=0.0)
 @example(u=Sigmoidal(2.0009287417555317, 364.8246562740504), offset=1.91601921255434e-06,
-         r_cap=1e3)
-def test_no_rate_at_the_prices_a_probe_skips(u, offset, r_cap):
+         r_cap=1e3, rise=0.11)
+def test_a_rate_that_reads_zero_reads_zero_from_the_skip_price_up(u, offset, r_cap, rise):
+    # the prices tried are the log-marginal at the offset, the floats just
+    # below and above it, prices far above it and the one drawn above it
     fam, q1, q2 = kernel_params(u)
+
+    def rate(price):
+        return kernels.net_benefit(fam, q1, q2, price, offset, r_cap, EPS_RATE, 1e-9, 200)
+
     row = kernel_row(u) + (r_cap + offset, offset, math.inf)
-    start = _skip_from(row, kernels.log_marginals([row], (0.0,))[0])
-    if start == math.inf:
+    z = kernels.log_marginals([row], (0.0,))[0]
+    if not 0.0 < z < math.inf:
         return
-    for price in prices_from(start):
-        rate = kernels.net_benefit(fam, q1, q2, price, offset, r_cap, EPS_RATE, 1e-9, 200)
-        assert bits(rate) == bits(0.0)
+    below = [z]
+    for _ in range(8):
+        below.append(math.nextafter(below[-1], 0.0))
+    tried = below[1:] + prices_from(z) + [z * (1.0 + rise)]
+    for p in tried:
+        if p < math.inf and rate(p) == 0.0:
+            for price in prices_from(p * (1.0 + ZERO_MARGIN)):
+                assert bits(rate(price)) == bits(0.0), (p, price)
 
 
 # log_marginal puts this user's zero price at 472647.6, where its rate is
-# still 2.0e-07: only the confirming response keeps the solve from skipping
-# it on the probes from there up to its clearing price near 496018.
+# still 2.0e-07: a skip read from it would drop the rate on the probes from
+# there up to its clearing price near 496018.
 LOST_DIGITS = ([(1, Sigmoidal(2.0009287417555317, 364.8246562740504), 1.91601921255434e-06)],
                1e-7)
 

@@ -7,6 +7,7 @@ above 1e-8. Regenerate the file with ``tests/reference_outputs.py``. Its
 ``--digest`` mode prints a line per scenario and leaves the file as it is;
 ``reference_digests.txt`` holds that printout, and a fresh one must equal
 it to the bit. Its ``--probes`` mode prints the summed probes per group,
+its ``--calls`` mode the kernel calls and the rows they computed per group,
 and its ``--fuzz`` mode the converged solves and probes of 12,000 random
 carrier solves.
 """
@@ -87,6 +88,28 @@ def test_probes_mode_prints_one_line_per_group(capsys):
         assert re.fullmatch(r"[1-9][0-9]*  [a-z0-9 -]+", line), line
     name, probes = next(probe_counts())
     assert lines[0] == f"{probes}  {name}"
+    assert REFERENCE.read_bytes() == before
+
+
+def test_calls_mode_prints_the_kernel_calls_of_each_group(capsys):
+    before = REFERENCE.read_bytes()
+    main(["--calls"])
+    lines = capsys.readouterr().out.splitlines()
+    found = [re.fullmatch(r"([1-9][0-9]*) calls  ([1-9][0-9]*) rows  ([a-z0-9 -]+)", line)
+             for line in lines]
+    assert all(found), lines
+    counts = {m[3]: (int(m[1]), int(m[2])) for m in found}
+    # (calls, rows) at most. Each call is a probe but a cap floor's
+    # response: 2,535 calls and 12,945 rows on the section-5 sweep, 549 and
+    # 3,033 calls on the rings, while each solve confirmed its offset users'
+    # zero prices with one response each before its first probe
+    assert list(counts) == ["section5 sweep", "wide-carriers seeds 0-1",
+                            "many-carriers seeds 0-1"]
+    bounds = {"section5 sweep": (2082, 12492), "wide-carriers seeds 0-1": (149, 16851),
+              "many-carriers seeds 0-1": (1833, 34626)}
+    for name, (calls, rows) in counts.items():
+        assert calls <= bounds[name][0], name
+        assert rows <= bounds[name][1], name
     assert REFERENCE.read_bytes() == before
 
 
