@@ -18,14 +18,18 @@ fails to converge (exit 4) leaves the directory in place, empty unless an
 earlier report is in it; a failed ``sweep`` point still writes its row.
 
 Every CSV is in the excel dialect of the ``csv`` module: ints written with
-``str``, floats with ``repr``, and rows ended by ``\r\n``. The trace files,
-by far the bulk of a ``run`` report, are formatted directly rather than
-through ``csv.writer``; their cells are only ints and floats, which that
-dialect never quotes, so the bytes are the same as ``csv.writer`` would
-write. Where an allocation reused its discovery solve, both trace files
-hold the one trace, formatted once. The other files go through
-``csv.writer``, which hands each row's text to a list's ``append``, so no
-Python function runs per row; the text is joined and encoded once.
+``str``, floats with ``repr``, and rows ended by ``\r\n``. Every file whose
+cells are only ints and floats, which that dialect never quotes, is
+formatted directly rather than through ``csv.writer``, with the same bytes
+as ``csv.writer`` would write: the trace files, by far the bulk of a
+``run`` report, ``allocations.csv``, ``aggregates.csv``, ``prices.csv``
+and ``sweep_aggregates.csv``. A cell that repeats, such as a trace step's
+price or a sweep point's capacity, is formatted once. Where an allocation
+reused its discovery solve, both trace files hold the one trace, formatted
+once. Only ``sweep_prices.csv`` goes through ``csv.writer``, since a failed
+point's status cell holds the error's text, which can need quoting; the
+writer hands each row's text to a list's ``append``, so no Python function
+runs per row, and the text is joined and encoded once.
 
 ``main`` builds its argument parser once per process and reuses it, since
 parsing leaves the parser as it was: building it takes about eight times
@@ -213,6 +217,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     _write_file(path, "".join(parts).encode())
 
 
+def _write_lines(path: Path, lines: list[str]) -> bytes:
+    """Write, and return, the formatted rows ``lines`` as one file."""
+    data = "".join(lines).encode()
+    _write_file(path, data)
+    return data
+
+
 def _write_trace_csv(path: Path, trace: ConvergenceTrace) -> bytes:
     """One trace as rows (iteration, price, user_id, w = price * r, r).
 
@@ -226,38 +237,29 @@ def _write_trace_csv(path: Path, trace: ConvergenceTrace) -> bytes:
         prefix = f"{step.iteration},{p!r},"
         rows += [f"{prefix}{uid}{p * r!r},{r!r}\r\n"
                  for uid, r in zip(uid_cells, step.rates)]
-    data = "".join(rows).encode()
-    _write_file(path, data)
-    return data
+    return _write_lines(path, rows)
 
 
 def _write_report_files(out: Path, scenario: model.Scenario,
                         report: protocol.AllocationReport) -> None:
+    """The report's CSVs, each in the bytes ``_write_csv`` would write."""
     carrier_ids = sorted(scenario.carrier_ids())
     users = sorted(scenario.users, key=lambda u: u.id)
+    rates, offsets, aggregates = report.rates, report.offsets, report.aggregates
 
-    _write_csv(
-        out / "allocations.csv",
-        ["user_id", "carrier_id", "rate", "offset_used"],
-        [
-            [u.id, cid, report.rates[cid][u.id], report.offsets[cid][u.id]]
-            for u in users
-            for cid in sorted(u.coverage)
-        ],
-    )
-    _write_csv(
-        out / "aggregates.csv",
-        ["user_id", "r_agg"],
-        [[u.id, report.aggregates[u.id]] for u in users],
-    )
-    _write_csv(
-        out / "prices.csv",
-        ["carrier_id", "offered_price", "allocation_price"],
-        [
-            [cid, report.offered_prices[cid], report.allocation_prices[cid]]
-            for cid in carrier_ids
-        ],
-    )
+    lines = ["user_id,carrier_id,rate,offset_used\r\n"]
+    for u in users:
+        uid = u.id
+        lines += [f"{uid},{cid},{rates[cid][uid]!r},{offsets[cid][uid]!r}\r\n"
+                  for cid in sorted(u.coverage)]
+    _write_lines(out / "allocations.csv", lines)
+    _write_lines(out / "aggregates.csv", ["user_id,r_agg\r\n"] + [
+        f"{u.id},{aggregates[u.id]!r}\r\n" for u in users
+    ])
+    _write_lines(out / "prices.csv", ["carrier_id,offered_price,allocation_price\r\n"] + [
+        f"{cid},{report.offered_prices[cid]!r},{report.allocation_prices[cid]!r}\r\n"
+        for cid in carrier_ids
+    ])
     for cid in carrier_ids:
         offered = report.offered_traces[cid]
         data = _write_trace_csv(out / f"trace_{cid}_offered.csv", offered)
@@ -292,7 +294,9 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     price_rows = []
-    aggregate_rows = []
+    # each user id's cell, with the commas around it, formatted once
+    uid_cells = [(uid, f",{uid},") for uid in user_ids]
+    aggregate_lines = ["R_value,user_id,r_agg\r\n"]
     failures = 0
     with protocol._reuse_between_points():
         for cap in capacities:
@@ -307,19 +311,16 @@ def cmd_sweep(args) -> int:
             price_rows.append(
                 [cap] + [report.offered_prices[cid] for cid in carrier_ids] + ["ok"]
             )
-            aggregates = report.aggregates
-            aggregate_rows += [[cap, uid, aggregates[uid]] for uid in user_ids]
+            aggregates, cap_cell = report.aggregates, repr(cap)
+            aggregate_lines += [f"{cap_cell}{cell}{aggregates[uid]!r}\r\n"
+                                for uid, cell in uid_cells]
 
     _write_csv(
         out / "sweep_prices.csv",
         ["R_value"] + [f"p{cid}_offered" for cid in carrier_ids] + ["status"],
         price_rows,
     )
-    _write_csv(
-        out / "sweep_aggregates.csv",
-        ["R_value", "user_id", "r_agg"],
-        aggregate_rows,
-    )
+    _write_lines(out / "sweep_aggregates.csv", aggregate_lines)
     log.info("wrote sweep CSVs to %s", out)
     if failures:
         print(f"{failures} of {len(price_rows)} sweep points failed", file=sys.stderr)

@@ -50,6 +50,26 @@ pushes a probe that falls next to the end just replaced just far enough
 past it that, if it lands across the root, the two certify every rate;
 and falls back to the midpoint in x.
 
+One probe can also certify the rates alone, and the solve then ends at it
+without placing a second probe across the root. Every user's net response
+is non-increasing in the price, so at a probe whose demand is
+D = C + delta the differences between the users' rates there and at the
+clearing price all have delta's sign and sum to delta: each rate lies
+within |delta| of the clearing allocation, and so does it once the rates
+are scaled by C/D to fill the capacity, since each then moves by a share of
+delta against it. A probe with positive demand and |delta| <= ONE_END_TOL
+ends the solve so. The computed responses are monotone only to a few ulps,
+and ONE_END_TOL = TOL_RATE/10 leaves 9e-10 of room for those under the
+TOL_RATE that a bracket certifies. It is a tenth, not TOL_RATE itself, so
+that the probe it stops at is nearly always the bracket end that the solve
+would have returned after its next probe, bit for bit on every reference
+scenario of the tests: at TOL_RATE itself, the offered prices of the
+paper's section-5 sweep moved by up to 1.2e-10 relative. At a capacity of
+ONE_END_TOL or less, any probe with positive demand up to
+C + ONE_END_TOL ends the solve; its rates still lie within ONE_END_TOL of
+the clearing allocation, a bound then no tighter than the capacity, and its
+price may lie far from the clearing price.
+
 The solve copies each user's response constants, which its utility forms
 once at construction, into a user table, and each probe is one call of the
 kernels' ``net_rates`` over that table, which computes a response for each
@@ -106,6 +126,10 @@ PLATEAU_BAND = 0.01
 # response of a user whose rate that probe read as exactly 0.0: far more
 # than the few ulps by which a response can rise with the price.
 ZERO_MARGIN = 1e-6
+# Largest |demand - capacity| at which one probe certifies the solve alone
+# (see _clear_market): a tenth of TOL_RATE, so that the probe it stops at is
+# the bracket end that the next probe would have left the solve to pick.
+ONE_END_TOL = TOL_RATE / 10.0
 
 
 class TraceStep(NamedTuple):
@@ -237,6 +261,15 @@ def _clear_market(
     the allocation once no user's response differs by more than TOL_RATE
     between its two ends, or once the ends are adjacent floats and the
     price can be resolved no further.
+
+    One probe certifies the allocation alone when its demand is positive
+    and within ONE_END_TOL of the capacity: each rate there lies within
+    |demand - capacity| of its clearing rate, since demand is non-increasing
+    in the price (see the module docstring). The solve then ends at that
+    probe, its rates scaled by capacity/demand as a certified bracket end's
+    are, and a probe whose demand meets the capacity exactly ends it
+    unscaled. A probe with no demand never ends it so: no scaling of its
+    rates fills the capacity.
     """
     fsum, log, nextafter, inf, sub = math.fsum, math.log, math.nextafter, math.inf, operator.sub
     net_rates, tol = kernels.net_rates, TOL_RATE
@@ -284,6 +317,9 @@ def _clear_market(
         demand = fsum(rates)
         if demand == capacity:
             return p, rates, True, tuple(steps)
+        if demand > 0.0 and abs(demand - capacity) <= ONE_END_TOL:
+            scale = capacity / demand
+            return p, tuple(r * scale for r in rates), True, tuple(steps)
         g = log(demand / capacity) if demand > 0.0 else -inf
         if demand > capacity:
             if last == "lo":
@@ -505,12 +541,20 @@ def dual_ascent(
     below its offset there. The rates are the bits of
     ``kernels.net_benefit`` either way.
 
-    ``converged`` is True only when the final price bracket certifies the
-    rates: no user's response differs by more than TOL_RATE between
-    the bracket's two ends, or the ends are adjacent floats. The rates then
-    sum to the capacity exactly. When the probe cap runs out, or no positive
-    normal price clears the capacity, the flag is False, not an exception,
-    and the result holds the probe whose demand came nearest the capacity.
+    ``converged`` is True only when the probes certify the rates. Either
+    one probe's positive demand came within ONE_END_TOL (TOL_RATE/10) of the
+    capacity: demand being non-increasing in the price, each of its rates
+    then lies within that of the clearing allocation, up to the few ulps by
+    which a computed response can rise with the price, and the solve ends
+    at that probe. Or the final price bracket certifies them: no user's
+    response differs by more than TOL_RATE between the bracket's two ends,
+    or the ends are adjacent floats. The rates then sum to the capacity, up
+    to the rounding of their scaling. At a capacity of ONE_END_TOL or less
+    the first probe with positive demand up to capacity + ONE_END_TOL
+    certifies, within a bound no tighter than the capacity itself (see the
+    module docstring). When the probe cap runs out, or no positive normal
+    price clears the capacity, the flag is False, not an exception, and the
+    result holds the probe whose demand came nearest the capacity.
     """
     if params is None:
         params = SolverParams()

@@ -13,8 +13,13 @@ A regeneration changes test data: say what moved, and why, in CHANGES.md.
 
 writes nothing. It prints one line per scenario, in the file's order: the
 sha256 of the ``repr`` of the scenario's full ``run`` report (prices,
-rates, offsets, aggregates, traces and order), two spaces, and the
-scenario's name. Two checkouts give bit-identical reports when the two
+rates, offsets, aggregates, traces and order), a space, the sha256 of the
+report with its two trace maps emptied, two spaces, and the scenario's
+name. The traces are the only part of a report that tells how a solve
+found its price, and the number of their steps is each solve's
+``iterations``, so the second hash covers every reported output and
+nothing of the search: a change that only shortens the solves moves the
+first column alone. Two checkouts give bit-identical reports when the two
 printouts are equal. ``reference_digests.txt`` beside this file holds the
 printout, and ``test_reference`` compares a fresh one with it; a change
 that moves any output bit regenerates it with
@@ -50,6 +55,7 @@ probes and the most probes in one solve.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -159,8 +165,11 @@ def summarize(scenario: Scenario) -> dict:
 
 
 def digest(scenario: Scenario) -> str:
-    """sha256 of the repr of the scenario's full ``run`` report."""
-    return hashlib.sha256(repr(run(scenario)).encode()).hexdigest()
+    """The sha256 of the repr of the scenario's full ``run`` report, a space,
+    and the sha256 of the report with its trace maps emptied."""
+    report = run(scenario)
+    outputs = dataclasses.replace(report, offered_traces={}, allocation_traces={})
+    return " ".join(hashlib.sha256(repr(r).encode()).hexdigest() for r in (report, outputs))
 
 
 def distinct_probes(reports: Iterable[AllocationReport]) -> int:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from carrieralloc import (
+    AllocationReport,
     CarrierSpec,
     ConvergenceTrace,
     Logarithmic,
@@ -36,17 +37,22 @@ def run_cli(argv):
     return cli.main(argv)
 
 
-def reference_trace_bytes(path, trace):
-    """A trace CSV as ``csv.writer`` writes it, the way the CLI used to."""
+def reference_csv_bytes(path, header, rows):
+    """A CSV as ``csv.writer`` writes it, the way the CLI used to."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "price", "user_id", "w", "r"])
-        writer.writerows(
-            [step.iteration, step.price, uid, w, r]
-            for step in trace.steps
-            for uid, w, r in zip(trace.user_ids, step.bids, step.rates)
-        )
+        writer.writerow(header)
+        writer.writerows(rows)
     return path.read_bytes()
+
+
+def reference_trace_bytes(path, trace):
+    """A trace CSV as ``csv.writer`` writes it, the way the CLI used to."""
+    return reference_csv_bytes(path, ["iteration", "price", "user_id", "w", "r"], (
+        [step.iteration, step.price, uid, w, r]
+        for step in trace.steps
+        for uid, w, r in zip(trace.user_ids, step.bids, step.rates)
+    ))
 
 
 # Three carriers, listed out of id order, and five users, listed out of id
@@ -284,10 +290,15 @@ class TestWritePath:
             assert (stale / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
+
+
 # Zero, the smallest subnormal, the smallest normal, floats that repr
 # writes in exponent and in positional form, and the largest float.
 EDGE_FLOATS = (0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 1e16,
                1.7976931348623157e308)
+# The edge floats, and negative zero, 1e300 and ints, as the report files'
+# value cells can hold them.
+EDGE_VALUES = EDGE_FLOATS + (-0.0, 1e300, 7, 0)
 
 
 class TestTraceFiles:
@@ -308,6 +319,76 @@ class TestTraceFiles:
         cli._write_trace_csv(tmp_path / "direct.csv", trace)
         expected = reference_trace_bytes(tmp_path / "reference.csv", trace)
         assert (tmp_path / "direct.csv").read_bytes() == expected
+
+    def test_report_formatter_writes_csv_writer_bytes(self, tmp_path):
+        # every value cell takes an edge value, an int among them, so each
+        # file's direct formatting must give csv.writer's bytes for each
+        cells = itertools.cycle(EDGE_VALUES)
+        scenario = Scenario(
+            carriers=(CarrierSpec(12, 30.0), CarrierSpec(3, 20.0)),
+            users=(UserSpec(40, Sigmoidal(a=3.0, b=20.0), (12, 3)),
+                   UserSpec(7, Logarithmic(k=3.0, r_max=100.0), (3,)),
+                   UserSpec(1234, Logarithmic(k=0.5, r_max=100.0), (12,))),
+        )
+        covered = {cid: scenario.covered_users(cid) for cid in (3, 12)}
+        trace = ConvergenceTrace(user_ids=(7,), steps=(TraceStep(1, 0.1, (5e-324,)),))
+        report = AllocationReport(
+            offered_prices={cid: next(cells) for cid in (3, 12)},
+            allocation_prices={cid: next(cells) for cid in (3, 12)},
+            rates={cid: {uid: next(cells) for uid in users} for cid, users in covered.items()},
+            offsets={cid: {uid: next(cells) for uid in users} for cid, users in covered.items()},
+            aggregates={uid: next(cells) for uid in (40, 7, 1234)},
+            offered_traces={3: trace, 12: trace},
+            allocation_traces={3: trace, 12: trace},
+            processing_order=(3, 12),
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        cli._write_report_files(out, scenario, report)
+        expected = {
+            "allocations.csv": (["user_id", "carrier_id", "rate", "offset_used"], [
+                [uid, cid, report.rates[cid][uid], report.offsets[cid][uid]]
+                for uid in (7, 40, 1234) for cid in sorted(scenario.user(uid).coverage)
+            ]),
+            "aggregates.csv": (["user_id", "r_agg"], [
+                [uid, report.aggregates[uid]] for uid in (7, 40, 1234)
+            ]),
+            "prices.csv": (["carrier_id", "offered_price", "allocation_price"], [
+                [cid, report.offered_prices[cid], report.allocation_prices[cid]]
+                for cid in (3, 12)
+            ]),
+        }
+        for name, (header, rows) in expected.items():
+            want = reference_csv_bytes(tmp_path / name, header, rows)
+            assert (out / name).read_bytes() == want, name
+
+    @pytest.mark.parametrize("spec", ["1=5e-324:1e-323:5e-324", "1=0.1:0.3:0.1",
+                                      "1=1e300:1e300:1"])
+    def test_sweep_aggregates_are_csv_writer_bytes(self, tmp_path, monkeypatch, spec):
+        # every point's capacity and aggregates take edge values, an int
+        # among the aggregates
+        cells = itertools.cycle(EDGE_VALUES)
+        user_ids = sorted(two_carrier_nine_user().user_ids())
+        points = []  # (capacity, report) for each point run
+
+        def edge_report(scenario, params=None):
+            report = AllocationReport(
+                offered_prices={1: 1.0, 2: 2.0}, allocation_prices={1: 1.0, 2: 2.0},
+                rates={}, offsets={}, aggregates={uid: next(cells) for uid in user_ids},
+                offered_traces={}, allocation_traces={}, processing_order=(1, 2),
+            )
+            points.append((scenario.carrier(1).capacity, report))
+            return report
+
+        monkeypatch.setattr(cli.protocol, "run", edge_report)
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--preset", "section5", "--sweep", spec,
+                        "--out", str(out)]) == 0
+        assert points
+        want = reference_csv_bytes(tmp_path / "reference.csv", ["R_value", "user_id", "r_agg"], [
+            [cap, uid, report.aggregates[uid]] for cap, report in points for uid in user_ids
+        ])
+        assert (out / "sweep_aggregates.csv").read_bytes() == want
 
     def test_run_trace_files_match_csv_writer(self, tmp_path, monkeypatch):
         reports = []
