@@ -21,7 +21,7 @@ the row's rate as 0.0, is 0.0 without a response (see ``enodeb``).
 tables, so every path returns the same bits, which are also those of
 ``_kernels.c``. The log-marginal is split the same way: ``log_marginal``
 is one row of ``log_marginals``, with which the carrier solve forms every
-user's equal-share and cap prices in one call.
+user's equal-share prices in one call and its cap prices in another.
 
 The log inverse's Newton loops count their steps down in a ``while``
 rather than iterate over ``range(_NEWTON_STEPS)``: a ``for`` would build a
@@ -61,6 +61,9 @@ _NO_SKIP = math.nan
 # moves u by at most _NEWTON_RTOL * u, u is exact to float64 resolution.
 _NEWTON_STEPS = 8
 _NEWTON_RTOL = 1e-8
+# The math functions of ``net_rates``, which unpacks them from this one
+# tuple: a call then pays no attribute lookup for them.
+_NET_RATES_MATH = (math.log, math.log1p, math.sqrt, math.exp, math.expm1)
 
 
 def _sigmoid_parts(x):
@@ -133,46 +136,43 @@ def log_utility(family, q1, q2, r):
 def log_marginal(family, q1, q2, r):
     """U'(r)/U(r) for r > 0; strictly decreasing, +inf as r -> 0.
 
-    ``log_marginals`` of one row and one share, whose d is formed as in
+    ``log_marginals`` of one row at share 0.0, whose d is formed as in
     ``response_constants`` (the log family reads none).
     """
     e_ab = math.exp(-q1 * q2) if family == SIGMOIDAL else 0.0
     row = (family, q1, q2, e_ab / (1.0 + e_ab), 0.0, 0.0, 0.0, r, _NO_SKIP)
-    return log_marginals((row,), (0.0,))[0]
+    return log_marginals((row,), 0.0)[0]
 
 
-def log_marginals(table, shares):
-    """Every row's log-marginal at its offset plus each of ``shares``.
+def log_marginals(table, share):
+    """Every row's log-marginal at its offset plus ``share``, as a list.
 
-    One flat list, row by row and, within a row, share by share, so that
-    ``out[i::len(shares)]`` holds the i-th share's prices. The rows are
-    those of ``net_rates``; a row's d is the sigmoid's normalizer, and the
-    log family reads neither d nor the other constants. The carrier solve
-    forms each user's equal-share and cap prices from one call over its
-    user table, so the users cost no Python call each.
+    The rows are those of ``net_rates``; a row's d is the sigmoid's
+    normalizer, and the log family reads neither d nor the other constants.
+    The carrier solve forms each user's equal-share prices from one call
+    over its user table and their cap prices from another, so the users
+    cost no Python call each.
     """
     exp, log1p = math.exp, math.log1p
     out = []
     append = out.append
     for family, q1, q2, d, _, _, _, offset, _ in table:
         if family == SIGMOIDAL:
-            for share in shares:
-                # _sigmoid_parts, inlined: its call would cost more than the
-                # rest of the price
-                x = q1 * (offset + share - q2)
-                if x >= 0.0:
-                    z = exp(-x)
-                    s, oms = 1.0 / (1.0 + z), z / (1.0 + z)
-                else:
-                    z = exp(x)
-                    s, oms = z / (1.0 + z), 1.0 / (1.0 + z)
-                den = s - d
-                append(q1 * s * oms / den if den > 0.0 else _INF)
+            # _sigmoid_parts, inlined: its call would cost more than the
+            # rest of the price
+            x = q1 * (offset + share - q2)
+            if x >= 0.0:
+                z = exp(-x)
+                s, oms = 1.0 / (1.0 + z), z / (1.0 + z)
+            else:
+                z = exp(x)
+                s, oms = z / (1.0 + z), 1.0 / (1.0 + z)
+            den = s - d
+            append(q1 * s * oms / den if den > 0.0 else _INF)
         else:
-            for share in shares:
-                y = q1 * (offset + share)
-                den = (1.0 + y) * log1p(y)
-                append(q1 / den if den > 0.0 else _INF)
+            y = q1 * (offset + share)
+            den = (1.0 + y) * log1p(y)
+            append(q1 / den if den > 0.0 else _INF)
     return out
 
 
@@ -217,7 +217,7 @@ def net_rates(table, price, eps_r):
     one call, so a probe pays no Python call per user; ``response``,
     ``inverse_log_marginal`` and ``net_benefit`` are one-row tables.
     """
-    log, log1p, sqrt, exp, expm1 = math.log, math.log1p, math.sqrt, math.exp, math.expm1
+    log, log1p, sqrt, exp, expm1 = _NET_RATES_MATH
     out = []
     append = out.append
     for family, q1, q2, d, ad, omd, r_cap, offset, skip_from in table:

@@ -18,18 +18,14 @@ fails to converge (exit 4) leaves the directory in place, empty unless an
 earlier report is in it; a failed ``sweep`` point still writes its row.
 
 Every CSV is in the excel dialect of the ``csv`` module: ints written with
-``str``, floats with ``repr``, and rows ended by ``\r\n``. Every file whose
-cells are only ints and floats, which that dialect never quotes, is
+``str``, floats with ``repr``, and rows ended by ``\r\n``. Every file is
 formatted directly rather than through ``csv.writer``, with the same bytes
-as ``csv.writer`` would write: the trace files, by far the bulk of a
-``run`` report, ``allocations.csv``, ``aggregates.csv``, ``prices.csv``
-and ``sweep_aggregates.csv``. A cell that repeats, such as a trace step's
-price or a sweep point's capacity, is formatted once. Where an allocation
-reused its discovery solve, both trace files hold the one trace, formatted
-once. Only ``sweep_prices.csv`` goes through ``csv.writer``, since a failed
-point's status cell holds the error's text, which can need quoting; the
-writer hands each row's text to a list's ``append``, so no Python function
-runs per row, and the text is joined and encoded once.
+as ``csv.writer`` would write. Ints and floats are cells that dialect
+never quotes; the one text cell, a failed sweep point's status, which
+holds the error's text, is quoted as the dialect quotes it (see
+``_csv_cell``). A cell that repeats, such as a trace step's price or a
+sweep point's capacity, is formatted once. Where an allocation reused its
+discovery solve, both trace files hold the one trace, formatted once.
 
 ``main`` builds its argument parser once per process and reuses it, since
 parsing leaves the parser as it was: building it takes about eight times
@@ -46,7 +42,6 @@ report nor the new one.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import logging
 import math
@@ -54,7 +49,6 @@ import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import model, protocol
 from .enodeb import ConvergenceTrace
@@ -203,18 +197,12 @@ def _write_file(path: Path, data: bytes) -> None:
         os.close(fd)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    # The writer hands each row's text to the list's own append, so no Python
-    # function runs per row; the text is joined and encoded once. At the peak
-    # that holds the file about three times over (the rows' strings, the
-    # joined text and its bytes), where encoding each row as it came held
-    # only the bytes: a trade of memory for time that stays small, since
-    # ``rows`` is held whole already and takes more than its text.
-    parts: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=parts.append))
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_file(path, "".join(parts).encode())
+def _csv_cell(text: str) -> str:
+    """``text`` as a cell of ``csv.writer``'s excel dialect: quoted, with each
+    quote doubled, when it holds a comma, a quote, ``\r`` or ``\n``."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_lines(path: Path, lines: list[str]) -> bytes:
@@ -227,7 +215,7 @@ def _write_lines(path: Path, lines: list[str]) -> bytes:
 def _write_trace_csv(path: Path, trace: ConvergenceTrace) -> bytes:
     """One trace as rows (iteration, price, user_id, w = price * r, r).
 
-    Writes, and returns, the bytes ``_write_csv`` would write, formatting
+    Writes, and returns, the bytes ``csv.writer`` would write, formatting
     each price and each user id once.
     """
     uid_cells = [f"{uid}," for uid in trace.user_ids]
@@ -242,7 +230,7 @@ def _write_trace_csv(path: Path, trace: ConvergenceTrace) -> bytes:
 
 def _write_report_files(out: Path, scenario: model.Scenario,
                         report: protocol.AllocationReport) -> None:
-    """The report's CSVs, each in the bytes ``_write_csv`` would write."""
+    """The report's CSVs, each in the bytes ``csv.writer`` would write."""
     carrier_ids = sorted(scenario.carrier_ids())
     users = sorted(scenario.users, key=lambda u: u.id)
     rates, offsets, aggregates = report.rates, report.offsets, report.aggregates
@@ -293,7 +281,10 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    price_rows = []
+    price_lines = [",".join(["R_value"] + [f"p{cid}_offered" for cid in carrier_ids]
+                            + ["status\r\n"])]
+    # a failed point's empty price cells, with the commas around them
+    no_prices = "," * (len(carrier_ids) + 1)
     # each user id's cell, with the commas around it, formatted once
     uid_cells = [(uid, f",{uid},") for uid in user_ids]
     aggregate_lines = ["R_value,user_id,r_agg\r\n"]
@@ -301,29 +292,26 @@ def cmd_sweep(args) -> int:
     with protocol._reuse_between_points():
         for cap in capacities:
             point = model.with_capacity(scenario, sweep_cid, cap)
+            cap_cell = repr(cap)
             try:
                 report = protocol.run(point, params)
             except ProtocolError as e:
                 failures += 1
                 log.warning("sweep point %g failed: %s", cap, e)
-                price_rows.append([cap] + [""] * len(carrier_ids) + [str(e)])
+                price_lines.append(f"{cap_cell}{no_prices}{_csv_cell(str(e))}\r\n")
                 continue
-            price_rows.append(
-                [cap] + [report.offered_prices[cid] for cid in carrier_ids] + ["ok"]
-            )
-            aggregates, cap_cell = report.aggregates, repr(cap)
+            offered = report.offered_prices
+            price_lines.append(",".join([cap_cell] + [repr(offered[cid]) for cid in carrier_ids]
+                                        + ["ok\r\n"]))
+            aggregates = report.aggregates
             aggregate_lines += [f"{cap_cell}{cell}{aggregates[uid]!r}\r\n"
                                 for uid, cell in uid_cells]
 
-    _write_csv(
-        out / "sweep_prices.csv",
-        ["R_value"] + [f"p{cid}_offered" for cid in carrier_ids] + ["status"],
-        price_rows,
-    )
+    _write_lines(out / "sweep_prices.csv", price_lines)
     _write_lines(out / "sweep_aggregates.csv", aggregate_lines)
     log.info("wrote sweep CSVs to %s", out)
     if failures:
-        print(f"{failures} of {len(price_rows)} sweep points failed", file=sys.stderr)
+        print(f"{failures} of {len(price_lines) - 1} sweep points failed", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 

@@ -40,15 +40,15 @@ Each probe costs up to one closed-form response per user, so the narrowing
 spends as few probes as it can. It probes plateau prices directly: a
 sigmoid user's response is log-singular at p = a, where demand is close to
 a step, so a clearing price near a is bracketed by probing a itself.
-Every other probe comes from one narrowing step (``_narrow``) in
-x = ln|p - a|: beside a plateau price a, where the response goes as
-ln|p - a| and log p fits it poorly, or else with a = 0, in log p. The step
-takes the secant through the last two probes (beside a plateau only) or
-Anderson-Bjorck regula falsi (Anderson & Bjorck 1973) rather than the
-Illinois rule's fixed halving of a stale end (Dowell & Jarratt 1971);
-pushes a probe that falls next to the end just replaced just far enough
-past it that, if it lands across the root, the two certify every rate;
-and falls back to the midpoint in x.
+Every other probe comes from one narrowing step, written once in the
+probe loop of ``_clear_market``, in x = ln|p - a|: beside a plateau price
+a, where the response goes as ln|p - a| and log p fits it poorly, or else
+with a = 0, in log p. The step takes the secant through the last two
+probes (beside a plateau only) or Anderson-Bjorck regula falsi (Anderson &
+Bjorck 1973) rather than the Illinois rule's fixed halving of a stale end
+(Dowell & Jarratt 1971); pushes a probe that falls next to the end just
+replaced just far enough past it that, if it lands across the root, the
+two certify every rate; and falls back to the midpoint in x.
 
 One probe can also certify the rates alone, and the solve then ends at it
 without placing a second probe across the root. Every user's net response
@@ -82,17 +82,21 @@ probe from ZERO_MARGIN above that price on. The response is monotone in
 the price to a few ulps, far less than that margin, so the rates keep the
 bits that a response would give, and the skip costs no response of its
 own: every row that a solve computes is a row of one of its probes. The
-equal-share and cap prices of every user come from one
-``kernels.log_marginals`` pass over the table.
+equal-share prices of every user come from one ``kernels.log_marginals``
+pass over the table, and their cap prices from another.
 
 Each probe is one trace step, which stores the posted price and the rates;
 the bids p * r_j are derived from them on demand rather than stored.
 ``_clear_market`` makes each probe's kernel call on the user table itself
 and works out the probe's demand, g and ln p once. On a carrier of a few
 users a probe's bookkeeping costs about as much as its kernel call, and a
-solve's fixed work as much as a probe, so the hot path builds each step
-with ``tuple.__new__``, without the NamedTuple's Python-level ``__new__``,
-and the frozen result and trace from positional arguments.
+solve's fixed work as much as a probe, so the hot path keeps its Python
+short: the probe loop binds its constants and math functions once per
+solve and takes its narrowing step inline, the set-up walks the users
+once, ``offered_price`` hands its (id, utility) pairs to the solve without
+copying them into entries, each step is built with ``tuple.__new__``,
+without the NamedTuple's Python-level ``__new__``, and the frozen result
+and trace from positional arguments.
 
 The paper's own clamped bid iteration stays in the kernels
 (``kernels.dual_ascent`` and ``kernels.fluctuation_clamp``), but no solve
@@ -130,6 +134,8 @@ ZERO_MARGIN = 1e-6
 # (see _clear_market): a tenth of TOL_RATE, so that the probe it stops at is
 # the bracket end that the next probe would have left the solve to pick.
 ONE_END_TOL = TOL_RATE / 10.0
+# The settings of a solve called without any.
+_DEFAULT_PARAMS = SolverParams()
 
 
 class TraceStep(NamedTuple):
@@ -230,8 +236,8 @@ def _clear_market(
     Once the price is bracketed, the search narrows the bracket on
     g = log(demand/capacity). When the same end is replaced twice in a row,
     the stale end's g is scaled by m = 1 - g_new/g_old (g_old the replaced
-    end's), or by 1/2 if m <= 0: the Anderson-Bjorck rule. Each narrowing
-    probe is then chosen in one of two ways:
+    end's), or by 1/2 if m <= 0 or is undefined: the Anderson-Bjorck rule.
+    Each narrowing probe is then chosen in one of two ways:
 
     - Plateau prices. ``plateaus`` maps each sigmoid user's steepness a,
       where its response is log-singular in p and demand is close to a
@@ -241,17 +247,38 @@ def _clear_market(
       ones for an even count). A bracket more than 2*PLATEAU_BAND away
       from every plateau price can neither hold one nor take a step beside
       one, so it skips the search for them.
-    - One narrowing step, ``_narrow``. When both ends lie within
-      PLATEAU_BAND (1%) of a, the nearer of the plateau prices just below
-      and just above the bracket, the step is taken in x = ln|p - a|,
-      floored at the core, and may take the secant through the last two
-      probes. Where it cannot place a probe (both ends in the core), or
-      no plateau price is that near, the step is taken in x = ln p,
-      without the secant: a = 0. Failing both, the probe is the next
-      float above the low end.
+    - One narrowing step, taken in x = ln max(side * (p - a), floor), with
+      side +1 above a and -1 below. When both ends lie within PLATEAU_BAND
+      (1%) of a, the nearer of the plateau prices just below and just above
+      the bracket, the floor is the core around a, and at least the next
+      float beyond a. Beside a sigmoid's plateau price its response goes as
+      ln|p - a| down to the core where it levels off, so demand is nearly
+      linear in x. Where the step cannot place a probe there (both ends in
+      the core), or no plateau price is that near, the same step is taken
+      with a = 0, in x = ln p, which needs no floor. Failing both, the
+      probe is the next float above the low end. The step places its probe
+      by:
 
-    Each probe's demand, g and ln p are formed once, when it is made; the
-    ends keep theirs for every narrowing step they take part in.
+      1. The secant on demand - capacity through the end just replaced and
+         the probe before it, beside a plateau only, when that probe lies
+         on the bracket's side of a and the secant lands inside the
+         bracket; else the regula falsi on the ends' Anderson-Bjorck-scaled
+         g.
+      2. A two-probe certificate. With gap the largest rate difference
+         across the bracket, a share w = TOL_RATE/(2 gap) of the bracket's
+         width in x is roughly how far x can move while every rate moves by
+         TOL_RATE/2. A probe within w of the end just replaced moves to w
+         past that end, toward the other end, and at least to the next
+         float: when the root lies that close to the end, the probe lands
+         across it and certifies the bracket together with that end. A
+         probe that rounded onto the end would instead fall back to the
+         midpoint, and every probe after it would halve the distance to
+         the root.
+      3. The midpoint in x, when the probe still misses the inside.
+
+    Each probe's demand, its difference from the capacity, g and ln p are
+    formed once, when it is made; the ends keep theirs for every narrowing
+    step they take part in.
 
     The bracket stays valid without assuming that demand is monotone,
     which the computed responses are only to a few ulps: each probe is
@@ -267,20 +294,21 @@ def _clear_market(
     |demand - capacity| of its clearing rate, since demand is non-increasing
     in the price (see the module docstring). The solve then ends at that
     probe, its rates scaled by capacity/demand as a certified bracket end's
-    are, and a probe whose demand meets the capacity exactly ends it
-    unscaled. A probe with no demand never ends it so: no scaling of its
-    rates fills the capacity.
+    are; where demand meets the capacity exactly, that scale is 1.0 and the
+    rates keep their bits. A probe with no demand never ends it so: no
+    scaling of its rates fills the capacity.
     """
-    fsum, log, nextafter, inf, sub = math.fsum, math.log, math.nextafter, math.inf, operator.sub
-    net_rates, tol = kernels.net_rates, TOL_RATE
+    # bound once per solve: each probe reads them
+    fsum, log, exp, nextafter, inf, sub = math.fsum, math.log, math.exp, math.nextafter, math.inf, operator.sub
+    net_rates, tol, eps_rate, one_end = kernels.net_rates, TOL_RATE, EPS_RATE, ONE_END_TOL
     new_step = tuple.__new__  # a TraceStep without the NamedTuple's Python __new__
     steps: list[TraceStep] = []
-    lo = hi = None  # probes with demand above / below capacity
+    r_lo = r_hi = None  # the rates of the probes with demand above / below capacity
     d_lo = d_hi = 0.0  # their demands
     g_lo = g_hi = 0.0  # log(demand / capacity) at lo and hi, Anderson-Bjorck-scaled
     p_lo = p_hi = x_lo = x_hi = 0.0  # their prices, and the logs of those
-    last = None  # the end the previous probe replaced
-    end, demand = None, 0.0  # the latest probe and its demand
+    last_lo = None  # whether the latest probe replaced lo (True) or hi (False)
+    q, delta = 0.0, 0.0  # the latest probe's price and demand - capacity
     plateau_prices = sorted(plateaus)
     # the prices beyond which no bracket meets a plateau price or lies
     # within PLATEAU_BAND of one, kept twice that far out against rounding
@@ -292,12 +320,12 @@ def _clear_market(
     unskipped = offset_rows  # offset rows that every probe still computes
     skipped = 0  # offset rows with a skip price
     p = start
-    t, step = math.log(start), 1.0  # log price of the next probe; bracket-search step
-    t_low, t_high = math.log(low), math.log(high)
+    t, step = log(start), 1.0  # log price of the next probe; bracket-search step
+    t_low, t_high = log(low), log(high)
     converged = False
     for k in range(1, max_probes + 1):
-        previous, d_previous = end, demand
-        rates = net_rates(users, p, EPS_RATE)
+        q0, e0 = q, delta  # the probe before this one
+        rates = net_rates(users, p, eps_rate)
         if unskipped and rates.count(0.0) > skipped:
             # an offset row that reads 0.0 here reads 0.0 from ZERO_MARGIN
             # above on: the kernel skips it there
@@ -310,29 +338,29 @@ def _clear_market(
                     still.append(i)
             skipped += len(unskipped) - len(still)
             unskipped = still
-        end = new_step(TraceStep, (k, p, rates))
-        steps.append(end)
+        steps.append(new_step(TraceStep, (k, p, rates)))
         # fsum is correctly rounded, so demand does not depend on the order
         # of the users
         demand = fsum(rates)
-        if demand == capacity:
-            return p, rates, True, tuple(steps)
-        if demand > 0.0 and abs(demand - capacity) <= ONE_END_TOL:
+        q, delta = p, demand - capacity
+        if -one_end <= delta <= one_end and demand > 0.0:
             scale = capacity / demand
-            return p, tuple(r * scale for r in rates), True, tuple(steps)
+            return p, tuple([r * scale for r in rates]), True, tuple(steps)
         g = log(demand / capacity) if demand > 0.0 else -inf
         if demand > capacity:
-            if last == "lo":
-                g_hi *= _stale_scale(g, g_lo)
-            lo, d_lo, g_lo, p_lo, x_lo = end, demand, g, p, log(p)
-            last = "lo"
+            if last_lo:
+                m = 1.0 - g / g_lo
+                g_hi *= m if m > 0.0 else 0.5  # also when the ratio is nan
+            r_lo, d_lo, g_lo, p_lo, x_lo = rates, demand, g, p, log(p)
+            last_lo = True
         else:
-            if last == "hi":
-                g_lo *= _stale_scale(g, g_hi)
-            hi, d_hi, g_hi, p_hi, x_hi = end, demand, g, p, log(p)
-            last = "hi"
-        if hi is None or lo is None:
-            rising = hi is None  # every probe so far over-demands
+            if last_lo is False:
+                m = 1.0 - g / g_hi
+                g_lo *= m if m > 0.0 else 0.5
+            r_hi, d_hi, g_hi, p_hi, x_hi = rates, demand, g, p, log(p)
+            last_lo = False
+        if r_hi is None or r_lo is None:
+            rising = r_hi is None  # every probe so far over-demands
             if p == (_P_MAX if rising else _P_MIN):
                 break  # no normal price clears this capacity
             if k == 1 and demand > 0.0:
@@ -340,10 +368,10 @@ def _clear_market(
                 # the equal-share bounds; a product, since ** would raise
                 # OverflowError where the cube is merely inf
                 ratio = demand / capacity
-                q = p * (ratio * ratio * ratio)
-                q = low if q < low else high if q > high else q
-                if q != p:
-                    p, t = q, math.log(q)
+                p = p * (ratio * ratio * ratio)
+                p = low if p < low else high if p > high else p
+                if p != q:
+                    t = log(p)
                     continue
             t = t + step if rising else t - step
             step *= 2.0
@@ -353,14 +381,13 @@ def _clear_market(
                 p, t = low, t_low
             else:
                 t = min(max(t, _T_MIN), _T_MAX)
-                p = _P_MIN if t == _T_MIN else _P_MAX if t == _T_MAX else math.exp(t)
+                p = _P_MIN if t == _T_MIN else _P_MAX if t == _T_MAX else exp(t)
             continue
-        gap = max(map(sub, lo.rates, hi.rates))
+        gap = max(map(sub, r_lo, r_hi))
         if gap <= tol or nextafter(p_lo, inf) >= p_hi:
             converged = True
             break
-        share = tol / gap
-        p = None
+        a = 0.0  # the narrowing step's plateau price; 0.0 steps in ln p
         if p_lo <= plateau_high and p_hi >= plateau_low:
             i = bisect_right(plateau_prices, p_lo)
             j = bisect_left(plateau_prices, p_hi)
@@ -372,106 +399,65 @@ def _clear_market(
             above = plateau_prices[j] if j < len(plateau_prices) else inf
             a = below if p_lo - below <= above - p_hi else above
             band = PLATEAU_BAND * a
-            if abs(p_lo - a) <= band and abs(p_hi - a) <= band:
-                p = _narrow(a, plateaus[a], p_lo, p_hi, 0.0, 0.0, g_lo, g_hi, last,
-                            previous.price, d_previous - capacity, demand - capacity,
-                            share)
-        if p is None:
-            p = _narrow(0.0, 0.0, p_lo, p_hi, x_lo, x_hi, g_lo, g_hi, last,
-                        None, 0.0, 0.0, share)
-        if p is None:
-            p = nextafter(p_lo, inf)
+            if not (abs(p_lo - a) <= band and abs(p_hi - a) <= band):
+                a = 0.0
+        w = 0.5 * (tol / gap)
+        # The narrowing step: beside the plateau price a, then, if it
+        # places no probe there, in ln p (a = 0.0), where it reads the
+        # ends' logs and takes no secant. Conditional expressions, not max
+        # and min: those builtin calls would cost more than the rest of a
+        # step, which runs once per probe.
+        while True:
+            if a:
+                side = 1.0 if p_lo >= a else -1.0
+                floor = abs(nextafter(a, side * inf) - a)
+                core = plateaus[a]
+                floor = core if core > floor else floor
+                h = side * (p_lo - a)
+                x0 = log(h if h > floor else floor)
+                h = side * (p_hi - a)
+                x1 = log(h if h > floor else floor)
+            else:
+                side, x0, x1 = 1.0, x_lo, x_hi
+            if x0 != x1:  # else both ends lie within the core
+                # the probe's place from x0 (the low end) to x1 (the high end)
+                u = g_lo / (g_lo - g_hi) if -inf < g_hi < g_lo else 0.5
+                if a and (h := side * (q0 - a)) >= 0.0 and e0 != delta:
+                    xq = x0 if last_lo else x1
+                    secant = (xq - delta * (xq - log(h if h > floor else floor)) / (delta - e0)
+                              - x0) / (x1 - x0)
+                    if 0.0 < secant < 1.0:
+                        u = secant
+                if last_lo:
+                    p = a + side * exp(x0 + (u if u > w else w) * (x1 - x0))
+                    nearest = nextafter(p_lo, inf)
+                    p = p if p > nearest else nearest
+                else:
+                    p = a + side * exp(x0 + (u if u < 1.0 - w else 1.0 - w) * (x1 - x0))
+                    nearest = nextafter(p_hi, 0.0)
+                    p = p if p < nearest else nearest
+                if not p_lo < p < p_hi:
+                    p = a + side * exp(0.5 * (x0 + x1))
+                if p_lo < p < p_hi:
+                    break
+            if not a:
+                p = nextafter(p_lo, inf)
+                break
+            a = 0.0
     steps = tuple(steps)
-    if lo is None or hi is None:
-        end = hi if lo is None else lo
-        return end.price, end.rates, False, steps
-    end, demand = (lo, d_lo) if d_lo - capacity <= capacity - d_hi else (hi, d_hi)
+    if r_lo is None or r_hi is None:
+        return q, rates, False, steps
+    price, rates, demand = (p_lo, r_lo, d_lo) if d_lo - capacity <= capacity - d_hi else (p_hi, r_hi, d_hi)
     if not converged:
-        return end.price, end.rates, False, steps
+        return price, rates, False, steps
     if gap <= tol and demand > 0.0:
         scale = capacity / demand
-        return end.price, tuple(r * scale for r in end.rates), True, steps
+        return price, tuple([r * scale for r in rates]), True, steps
     # Demand jumps across capacity within the bracket, as on a sigmoid
     # plateau where one ulp of price moves a rate by far more than tol:
     # split the jump so that the rates fill the capacity exactly.
     theta = (capacity - d_hi) / (d_lo - d_hi)
-    return end.price, tuple(b + theta * (a - b) for a, b in zip(lo.rates, hi.rates)), True, steps
-
-
-def _narrow(
-    a: float, core: float, p_lo: float, p_hi: float, x_lo: float, x_hi: float,
-    g_lo: float, g_hi: float, last: str, p0: Union[float, None], e0: float, e1: float,
-    share: float,
-) -> Union[float, None]:
-    """Next narrowing probe, chosen in x = ln max(side * (p - a), floor).
-
-    The bracket [``p_lo``, ``p_hi``] lies on one side of a (side +1 above,
-    -1 below). The floor is the core of width ``core`` around a, and at
-    least the next float beyond a. With a = 0 the step is taken in x = ln p,
-    and ``x_lo``, ``x_hi`` are the ends' logs, which the caller formed once
-    per probe; beside a plateau price the ends' x are formed here, and
-    ``x_lo``, ``x_hi`` are not read. Beside a sigmoid's plateau price a, its
-    response goes as ln|p - a| down to the core where it levels off, so
-    demand is nearly linear in x. The probe is placed by:
-
-    1. The secant on demand - capacity through the end just replaced (e1)
-       and ``p0``, the price of the probe before it (e0), if one is given,
-       lies on the bracket's side of a, and the secant lands inside the
-       bracket; else the regula falsi on the ends' Anderson-Bjorck-scaled
-       g_lo, g_hi.
-    2. A two-probe certificate. With gap the largest rate difference across
-       the bracket and ``share`` = tol/gap, a share w = share/2 of the
-       bracket's width in x is roughly how far x can move while every rate
-       moves by tol/2. A probe within w of the end just replaced moves to
-       w past that end, toward the other end, and at least to the next
-       float: when the root lies that close to the end, the probe lands
-       across it and certifies the bracket together with that end. A probe
-       that rounded onto the end would instead fall back to the midpoint,
-       and every probe after it would halve the distance to the root.
-    3. The midpoint in x, when the probe still misses the inside.
-
-    None when x cannot place a probe strictly inside the bracket.
-    """
-    # conditional expressions, not max and min: those builtin calls would
-    # cost more than the rest of a step, which runs once per probe
-    if a == 0.0:
-        side, floor = 1.0, 0.0  # p is a normal float, so ln p needs no floor
-    else:
-        side = 1.0 if p_lo >= a else -1.0
-        floor = abs(math.nextafter(a, side * math.inf) - a)
-        floor = core if core > floor else floor
-        h_lo, h_hi = side * (p_lo - a), side * (p_hi - a)
-        x_lo = math.log(h_lo if h_lo > floor else floor)
-        x_hi = math.log(h_hi if h_hi > floor else floor)
-    if x_lo == x_hi:
-        return None  # both ends lie within the core
-    # the probe's place from x_lo (0) to x_hi (1)
-    u = g_lo / (g_lo - g_hi) if -math.inf < g_hi < g_lo else 0.5
-    if p0 is not None and (h0 := side * (p0 - a)) >= 0.0:
-        x1 = x_lo if last == "lo" else x_hi
-        if e0 != e1:
-            x0 = math.log(h0 if h0 > floor else floor)
-            secant = (x1 - e1 * (x1 - x0) / (e1 - e0) - x_lo) / (x_hi - x_lo)
-            if 0.0 < secant < 1.0:
-                u = secant
-    w = 0.5 * share
-    if last == "lo":
-        p = a + side * math.exp(x_lo + (u if u > w else w) * (x_hi - x_lo))
-        nearest = math.nextafter(p_lo, math.inf)
-        p = p if p > nearest else nearest
-    else:
-        p = a + side * math.exp(x_lo + (u if u < 1.0 - w else 1.0 - w) * (x_hi - x_lo))
-        nearest = math.nextafter(p_hi, 0.0)
-        p = p if p < nearest else nearest
-    if not p_lo < p < p_hi:
-        p = a + side * math.exp(0.5 * (x_lo + x_hi))
-    return p if p_lo < p < p_hi else None
-
-
-def _stale_scale(g_new: float, g_old: float) -> float:
-    """Anderson-Bjorck factor for the stale end when g_old's end is replaced by g_new."""
-    m = 1.0 - g_new / g_old
-    return m if m > 0.0 else 0.5  # also when the ratio is undefined (nan)
+    return price, tuple([b + theta * (a - b) for a, b in zip(r_lo, r_hi)]), True, steps
 
 
 def _cap_floor(users: list, cap_prices: list, capacity: float, start: float) -> float:
@@ -522,8 +508,8 @@ def dual_ascent(
     kernel call outside its probes. A floor at or below the start is not
     used; it could only stop a walk down, which rarely gets that far, and
     its confirming response would cost every such solve. The equal-share
-    and cap prices come from one ``kernels.log_marginals`` pass over the
-    user table.
+    prices come from one ``kernels.log_marginals`` pass over the user
+    table, and the cap prices from another.
     The steepness a of every sigmoid user is passed on as a plateau price,
     with the core a*sqrt(d) around it (d the sigmoid's normalizer) within
     which the user's response no longer goes as ln|p - a|: the solve
@@ -556,66 +542,89 @@ def dual_ascent(
     price clears the capacity, the flag is False, not an exception, and the
     result holds the probe whose demand came nearest the capacity.
     """
-    if params is None:
-        params = SolverParams()
+    return _solve(entries, capacity, params, True)
+
+
+def _solve(
+    entries: Sequence, capacity: float, params: Union[SolverParams, None], with_offsets: bool,
+) -> DualAscentResult:
+    """``dual_ascent`` on ``entries``, or, without offsets, ``offered_price``
+    on its (user id, utility) pairs with every offset at zero: the pairs are
+    walked as they are, not copied into entries first."""
     if not entries:
         raise ValueError("entries must not be empty")
     if not (_is_number(capacity) and capacity > 0):
         raise ValueError(f"capacity must be > 0, got {capacity!r}")
 
     capacity = float(capacity)
-    rate_cap = rate_cap_for(entries, capacity)
-    # Each user's id, and its table row, formed once for all probes: the
-    # utility's kernel row with its cap, offset and the price from which its
-    # response is skipped (inf until a probe reads its rate as 0.0). And each
-    # sigmoid's plateau price a, with the widest core a*sqrt(d) around it
-    # within which a response no longer goes as ln|p - a|.
+    inf = math.inf
+    # One walk over the entries: each user's id, kernel row and offset, the
+    # rows of the users with positive offsets, each sigmoid's plateau price a
+    # with the widest core a*sqrt(d) around it within which a response no
+    # longer goes as ln|p - a|, and the largest r_max among the log users,
+    # from which the cap is formed as ``rate_cap_for`` forms it.
     user_ids = []
-    users = []
-    offset_rows = []  # the rows of the users with positive offsets
+    rows = []
+    offsets = []
+    offset_rows = []
     plateaus: dict[float, float] = {}
-    for uid, u, c in entries:
+    cap = capacity
+    for entry in entries:
+        if with_offsets:
+            uid, u, c = entry
+        else:
+            (uid, u), c = entry, 0.0
         user_ids.append(uid)
         try:
             row = u._row
+            plateau = u._plateau
         except AttributeError:
             raise TypeError(f"not a utility function: {u!r}") from None
-        # comparisons, not _is_number: no call per user, and no float() of
-        # an int beyond the float range, which would raise OverflowError
-        if c is True or c is False or not 0.0 <= c <= _P_MAX:
-            raise ValueError(f"user {uid}: offset must be >= 0, got {c!r}")
-        c = float(c)
-        if c > 0.0:
-            offset_rows.append(len(users))
-        users.append(row + (rate_cap + c, c, math.inf))
-        plateau = u._plateau
-        if plateau is not None:
+        if with_offsets:
+            # comparisons, not _is_number: no call per user, and no float()
+            # of an int beyond the float range, which would raise
+            # OverflowError
+            if c is True or c is False or not 0.0 <= c <= _P_MAX:
+                raise ValueError(f"user {uid}: offset must be >= 0, got {c!r}")
+            c = float(c)
+            if c > 0.0:
+                offset_rows.append(len(rows))
+        rows.append(row)
+        offsets.append(c)
+        if plateau is None:  # a log user, whose row holds its r_max as q2
+            if row[2] > cap:
+                cap = row[2]
+        else:
             a, core = plateau
             if core >= plateaus.get(a, 0.0):
                 plateaus[a] = core
     if len(set(user_ids)) != len(user_ids):
         raise ValueError(f"duplicate user ids in entries: {user_ids}")
+    rate_cap = 2.0 * cap
+    # The user table, formed once for all probes: each kernel row with its
+    # cap, its offset and the price from which its response is skipped (inf
+    # until a probe reads its rate as 0.0).
+    users = [row + (rate_cap + c, c, inf) for row, c in zip(rows, offsets)]
 
-    # Every user's equal-share and cap price from one kernel pass: its
-    # log-marginal at c + capacity/m and at its cap c + rate_cap
-    prices = kernels.log_marginals(users, (capacity / len(users), rate_cap))
-
-    # Sorted, so that the start does not depend on the order of the users.
+    # Every user's equal-share price, its log-marginal at c + capacity/m,
+    # sorted, so that the start does not depend on the order of the users.
     # The start and bounds are kept within the positive normal floats by
     # conditional expressions: min and max calls cost more, once per solve.
-    share_prices = sorted(prices[0::2])
+    share_prices = sorted(kernels.log_marginals(users, capacity / len(users)))
     finite = bisect_left(share_prices, _P_MAX)
     start = share_prices[finite // 2] if finite else _P_MAX
     start = start if start > _P_MIN else _P_MIN
     low, high = share_prices[0], share_prices[-1]
     low = _P_MIN if low < _P_MIN else _P_MAX if low > _P_MAX else low
     high = _P_MIN if high < _P_MIN else _P_MAX if high > _P_MAX else high
-    floor = _cap_floor(users, prices[1::2], capacity, start)
+    # every user's cap price, its log-marginal at its cap c + rate_cap
+    floor = _cap_floor(users, kernels.log_marginals(users, rate_cap), capacity, start)
     if floor > start:
         start = low = floor
         high = high if high > floor else floor
     price, rates, converged, steps = _clear_market(
-        users, capacity, params.max_outer_iters, plateaus, start, low, high, offset_rows,
+        users, capacity, (params or _DEFAULT_PARAMS).max_outer_iters, plateaus,
+        start, low, high, offset_rows,
     )
     return DualAscentResult(
         price, dict(zip(user_ids, rates)), ConvergenceTrace(tuple(user_ids), steps),
@@ -634,5 +643,4 @@ def offered_price(
     demand fills the capacity, is what the carrier advertises to the users
     in its coverage area; callers must check the ``converged`` flag.
     """
-    entries = [(uid, u, 0.0) for uid, u in users]
-    return dual_ascent(entries, capacity, params)
+    return _solve(users, capacity, params, False)

@@ -85,11 +85,16 @@ class _Solves:
     and equal parameters share results even when each point builds its own.
     A reused result is the same object, not a copy; ``run`` copies the rates
     it reports.
+
+    The store also holds ``utility``, the map from each user id of its
+    ``users`` to that user's utility, which every point of those users
+    reads: it is formed once, when the store is bound to them.
     """
 
     def __init__(self) -> None:
         self.users: Union[tuple, None] = None
         self.params: Union[SolverParams, None] = None
+        self.utility: dict = {}
         self.current: dict[tuple, DualAscentResult] = {}
         self.previous: dict[tuple, DualAscentResult] = {}
 
@@ -100,6 +105,8 @@ class _Solves:
         if users is self.users and (params is self.params or params == self.params):
             self.previous, self.current = self.current, {}
         else:
+            if users is not self.users:
+                self.utility = {u.id: u.utility for u in users}
             self.users, self.params, self.previous, self.current = users, params, {}, {}
 
     def find(self, key: tuple) -> Union[DualAscentResult, None]:
@@ -187,9 +194,9 @@ def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> Allocat
     if solves is None:
         solves = _Solves()
     solves.next_point(scenario.users, params)
+    utility = solves.utility
     # once per run, not a log.debug call per solve
     debug = log.isEnabledFor(logging.DEBUG)
-    utility = {u.id: u.utility for u in scenario.users}
 
     discovery = _discover_prices(scenario, utility, params, solves, debug)
     offered = {cid: res.shadow_price for cid, res in discovery.items()}
@@ -199,10 +206,11 @@ def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> Allocat
     # carrier can be served once each covered user has its rate from the
     # carrier before it in that user's order. So its wave is one more than
     # the latest wave among those carriers, or 0 when there is none.
+    covered_users = scenario.covered_users
     wave: dict[int, int] = {}
     level = dict.fromkeys(utility, -1)  # the wave of each user's latest carrier
     for cid in ue.order_carriers(offered):
-        users = scenario.covered_users(cid)
+        users = covered_users(cid)
         wave[cid] = w = 1 + max([level[uid] for uid in users])
         for uid in users:
             level[uid] = w
@@ -215,15 +223,16 @@ def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> Allocat
     received: dict[int, list[float]] = {uid: [] for uid in utility}
     total = dict.fromkeys(utility, 0.0)
     fsum = math.fsum
+    carrier = scenario.carrier
     # the report's per-carrier tables, filled in processing order
     allocation_prices: dict[int, float] = {}
     allocated: dict[int, dict[int, float]] = {}
     offsets_used: dict[int, dict[int, float]] = {}
     allocation_traces: dict[int, ConvergenceTrace] = {}
     for cid in processing_order:
-        users = scenario.covered_users(cid)
+        users = covered_users(cid)
         offsets = tuple([total[uid] for uid in users])
-        capacity = scenario.carrier(cid).capacity
+        capacity = carrier(cid).capacity
         key = _solve_key(capacity, users, offsets)
         res = solves.find(key)
         if res is None:
@@ -241,12 +250,17 @@ def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> Allocat
         allocated[cid] = dict(rates)
         offsets_used[cid] = dict(zip(users, offsets))
         allocation_traces[cid] = res.trace
-        for uid in users:
+        # the rates are keyed by the covered users, in their order
+        for uid, r in rates.items():
             got = received[uid]
-            got.append(rates[uid])
+            got.append(r)
             total[uid] = fsum(got)
 
-    return AllocationReport(
+    # made without the frozen __init__, as ``with_capacity`` makes its
+    # copies: the instance dict is filled in one update, not one
+    # ``object.__setattr__`` a field
+    report = object.__new__(AllocationReport)
+    report.__dict__.update(
         offered_prices=offered,
         allocation_prices=allocation_prices,
         rates=allocated,
@@ -256,6 +270,7 @@ def run(scenario: Scenario, params: Union[SolverParams, None] = None) -> Allocat
         allocation_traces=allocation_traces,
         processing_order=processing_order,
     )
+    return report
 
 
 def sweep(

@@ -47,6 +47,8 @@ TOL_RATE = 1e-9
 # SolverParams.bisect_max_iters and the default of net_benefit_maximizer's
 # max_iters; the closed-form response reads neither.
 BISECT_MAX_ITERS = 200
+# The largest float, which ``_is_number`` reads on every call.
+_FLOAT_MAX = sys.float_info.max
 
 
 def _is_number(v) -> bool:
@@ -59,7 +61,7 @@ def _is_number(v) -> bool:
     return (
         isinstance(v, (int, float))
         and not isinstance(v, bool)
-        and -sys.float_info.max <= v <= sys.float_info.max
+        and -_FLOAT_MAX <= v <= _FLOAT_MAX
     )
 
 

@@ -49,7 +49,17 @@ writes nothing either. It runs 12,000 random carrier solves, 6,000 each
 from ``random.Random(7)`` and ``random.Random(8)``: 1 to 8 users, each a
 sigmoid or a log user with an offset half of the time, on a capacity
 from 1e-2 to 1e3. It prints one line: the converged solves, the summed
-probes and the most probes in one solve.
+probes, the most probes in one solve, and a sha256 of every solve's price,
+rates, ``converged`` and ``iterations``, taken in draw order. Two checkouts
+whose solves give bit-identical results print the same hash.
+
+    PYTHONPATH=src python tests/reference_outputs.py --truth
+
+writes nothing either. For each point of ``ground_truth.json`` beside this
+file (see ``tests/ground_truth.py``) it runs carrier 1's price discovery of
+the section-5 scenario and prints one line: the offered price's error
+relative to the high-precision clearing price, the largest error of a
+user's rate, and the point.
 """
 
 from __future__ import annotations
@@ -73,6 +83,7 @@ from carrieralloc import (
     Sigmoidal,
     UserSpec,
     dual_ascent,
+    offered_price,
     run,
     sweep,
     two_carrier_nine_user,
@@ -81,6 +92,7 @@ from carrieralloc import (
 from carrieralloc import _kernels_py as kernels
 
 REFERENCE = Path(__file__).with_name("reference_outputs.json")
+TRUTH = Path(__file__).with_name("ground_truth.json")
 DIGESTS = Path(__file__).with_name("reference_digests.txt")
 # The CLI's sweep points for 1=50:200:1.
 SECTION5_CAPACITIES = [50.0 + i * 1.0 for i in range(151)]
@@ -235,8 +247,10 @@ def kernel_calls() -> list[tuple[str, int, int]]:
 
 
 def fuzz_summary() -> str:
-    """The fuzz's line: converged solves of all, summed probes, most probes in one."""
+    """The fuzz's line: converged solves of all, summed probes, most probes in
+    one, and the sha256 of every solve's outputs in draw order."""
     results = []
+    outputs = hashlib.sha256()
     for seed in (7, 8):
         rng = random.Random(seed)
         for _ in range(6000):
@@ -248,10 +262,30 @@ def fuzz_summary() -> str:
                     u = Logarithmic(rng.uniform(0.5, 15.0), 100.0)
                 offset = rng.uniform(0.0, 30.0) if rng.random() < 0.5 else 0.0
                 entries.append((uid, u, offset))
-            results.append(dual_ascent(entries, 10.0 ** rng.uniform(-2.0, 3.0)))
+            res = dual_ascent(entries, 10.0 ** rng.uniform(-2.0, 3.0))
+            results.append(res)
+            # repr writes each float with the digits that round-trip it
+            outputs.update(repr((res.shadow_price, res.rates, res.converged,
+                                 res.iterations)).encode())
     probes = [res.iterations for res in results]
     return (f"{sum(res.converged for res in results)} of {len(results)} converged, "
-            f"{sum(probes)} probes, worst {max(probes)}")
+            f"{sum(probes)} probes, worst {max(probes)}, sha256 {outputs.hexdigest()}")
+
+
+def truth_errors() -> list[tuple[float, float, float]]:
+    """(capacity, relative price error, largest rate error) of carrier 1's
+    discovery at each point of ``ground_truth.json``."""
+    truth = json.loads(TRUTH.read_text())
+    cid = truth["carrier"]
+    scenario = two_carrier_nine_user()
+    users = [(uid, scenario.user(uid).utility) for uid in scenario.covered_users(cid)]
+    out = []
+    for point in truth["discovery"]:
+        res = offered_price(users, point["capacity"])
+        want = point["price"]
+        rate_error = max(abs(res.rates[int(uid)] - r) for uid, r in point["rates"].items())
+        out.append((point["capacity"], abs(res.shadow_price - want) / want, rate_error))
+    return out
 
 
 def main(argv=None) -> None:
@@ -273,6 +307,10 @@ def main(argv=None) -> None:
         "--fuzz", action="store_true",
         help="print the converged solves and the probes of 12,000 random solves",
     )
+    mode.add_argument(
+        "--truth", action="store_true",
+        help="print each discovery price's error against ground_truth.json",
+    )
     args = parser.parse_args(argv)
     if args.digest:
         for name, scenario in scenarios():
@@ -288,6 +326,10 @@ def main(argv=None) -> None:
         return
     if args.fuzz:
         print(fuzz_summary())
+        return
+    if args.truth:
+        for capacity, price_error, rate_error in truth_errors():
+            print(f"{price_error:.2g} price  {rate_error:.2g} rate  R1={capacity!r}")
         return
     lines = [
         f"{json.dumps(name)}: {json.dumps(summarize(scenario), separators=(',', ':'))}"

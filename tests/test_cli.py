@@ -17,6 +17,7 @@ from carrieralloc import (
     CarrierSpec,
     ConvergenceTrace,
     Logarithmic,
+    ProtocolError,
     Scenario,
     Sigmoidal,
     TraceStep,
@@ -389,6 +390,42 @@ class TestTraceFiles:
             [cap, uid, report.aggregates[uid]] for cap, report in points for uid in user_ids
         ])
         assert (out / "sweep_aggregates.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("spec", ["1=5e-324:1e-323:5e-324", "1=0.1:0.3:0.1",
+                                      "1=1e300:1e300:1", "1=1:16:1"])
+    def test_sweep_prices_are_csv_writer_bytes(self, tmp_path, monkeypatch, spec):
+        # every point's capacity and offered prices take edge values, an int
+        # among the prices, and every other point fails with a message that
+        # holds a comma, a quote, \r or \n, all of them, or none
+        cells = itertools.cycle(EDGE_VALUES)
+        messages = itertools.cycle(["no clearing price", "carrier 1, allocation",
+                                    'said "no"', "one\rline", "two\nlines",
+                                    'every one: ,"\r\n""', ""])
+        fail = itertools.cycle([False, True])
+        rows = []  # csv.writer's row for each point run
+
+        def edge_report(scenario, params=None):
+            cap = scenario.carrier(1).capacity
+            if next(fail):
+                message = next(messages)
+                rows.append([cap, "", "", message])
+                raise ProtocolError(message)
+            offered = {1: next(cells), 2: next(cells)}
+            rows.append([cap, offered[1], offered[2], "ok"])
+            return AllocationReport(
+                offered_prices=offered, allocation_prices=offered, rates={}, offsets={},
+                aggregates=dict.fromkeys(range(1, 10), 1.0), offered_traces={},
+                allocation_traces={}, processing_order=(1, 2),
+            )
+
+        monkeypatch.setattr(cli.protocol, "run", edge_report)
+        out = tmp_path / "out"
+        code = run_cli(["sweep", "--preset", "section5", "--sweep", spec, "--out", str(out)])
+        assert rows
+        assert code == (cli.EXIT_SOLVER if len(rows) > 1 else cli.EXIT_OK)
+        want = reference_csv_bytes(tmp_path / "reference.csv",
+                                   ["R_value", "p1_offered", "p2_offered", "status"], rows)
+        assert (out / "sweep_prices.csv").read_bytes() == want
 
     def test_run_trace_files_match_csv_writer(self, tmp_path, monkeypatch):
         reports = []

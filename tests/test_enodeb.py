@@ -415,7 +415,7 @@ class TestCapFloor:
         capacity = 0.13148124372806583
         cap = rate_cap_for([(1, u, 0.0)], capacity, SolverParams())
         row = u._row + (cap, 0.0, math.inf)
-        cap_prices = kernels.log_marginals([row], (cap,))
+        cap_prices = kernels.log_marginals([row], cap)
         assert cap_prices[0] > u.a
         assert _cap_floor([row], cap_prices, capacity, 1e-300) == 1e-300
         res = offered_price([(1, u)], capacity)

@@ -584,7 +584,7 @@ def test_a_rate_that_reads_zero_reads_zero_from_the_skip_price_up(u, offset, r_c
         return kernels.net_benefit(fam, q1, q2, price, offset, r_cap, EPS_RATE, 1e-9, 200)
 
     row = kernel_row(u) + (r_cap + offset, offset, math.inf)
-    z = kernels.log_marginals([row], (0.0,))[0]
+    z = kernels.log_marginals([row], 0.0)[0]
     if not 0.0 < z < math.inf:
         return
     below = [z]
@@ -620,12 +620,13 @@ def test_skipped_responses_equal_net_benefit(solve):
     shares=st.lists(st.one_of(st.just(0.0), log_uniform(-3.0, 3.0)), min_size=1, max_size=3),
 )
 def test_log_marginals_are_log_marginal_share_by_share(users, shares):
-    # the solve's one pass gives each row's prices, share by share, with the
+    # the solve's pass at each share gives each row's price there, with the
     # bits of log_marginal at the offset plus the share
     table = [kernel_row(u) + (1e3 + c, c, math.inf) for u, c in users]
-    want = [kernels.log_marginal(*kernel_params(u), c + share)
-            for u, c in users for share in shares]
-    assert [bits(p) for p in kernels.log_marginals(table, shares)] == [bits(p) for p in want]
+    for share in shares:
+        want = [kernels.log_marginal(*kernel_params(u), c + share) for u, c in users]
+        got = kernels.log_marginals(table, share)
+        assert [bits(p) for p in got] == [bits(p) for p in want], share
 
 
 # Below a user's cap price, its log-marginal at its offset plus the rate
@@ -645,7 +646,7 @@ def test_no_price_below_the_cap_floor_clears(users, capacity):
     entries = [(uid, u, c) for uid, (u, c) in enumerate(users, 1)]
     rate_cap = rate_cap_for(entries, capacity)
     table = [kernel_row(u) + (rate_cap + c, c, math.inf) for u, c in users]
-    floor = _cap_floor(table, kernels.log_marginals(table, (rate_cap,)), capacity, 0.0)
+    floor = _cap_floor(table, kernels.log_marginals(table, rate_cap), capacity, 0.0)
     if floor == 0.0:
         return
     price = floor * (1.0 - 1e-12)

@@ -9,7 +9,10 @@ above 1e-8. Regenerate the file with ``tests/reference_outputs.py``. Its
 it to the bit. Its ``--probes`` mode prints the summed probes per group,
 its ``--calls`` mode the kernel calls and the rows they computed per group,
 and its ``--fuzz`` mode the converged solves and probes of 12,000 random
-carrier solves.
+carrier solves, with a hash of their outputs that must equal FUZZ_SHA256.
+Its ``--truth`` mode prints each section-5 discovery price's error against
+``ground_truth.json``, whose rates the discovery's must meet within
+TOL_RATE.
 """
 
 import json
@@ -24,10 +27,15 @@ from reference_outputs import (
     probe_counts,
     scenarios,
     summarize,
+    truth_errors,
 )
+
+from carrieralloc import TOL_RATE
 
 PRICE_REL_TOL = 1e-10
 RATE_ABS_TOL = 1e-8
+# The sha256 that ``--fuzz`` prints of its solves' outputs.
+FUZZ_SHA256 = "0ba7ec647004a10c298e43683480c5398ec3336b8e73475a8ed197a9bd81d082"
 
 
 def test_outputs_match_the_reference():
@@ -124,14 +132,41 @@ def test_fuzz_mode_prints_one_line(capsys):
     main(["--fuzz"])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
-    found = re.fullmatch(r"([0-9]+) of 12000 converged, ([0-9]+) probes, worst ([0-9]+)",
-                         lines[0])
+    found = re.fullmatch(r"([0-9]+) of 12000 converged, ([0-9]+) probes, worst ([0-9]+), "
+                         r"sha256 ([0-9a-f]{64})", lines[0])
     assert found, lines[0]
-    converged, probes, worst = map(int, found.groups())
+    converged, probes, worst = map(int, found.groups()[:3])
     # 11,876 converged, 104,480 probes and worst 69 before the cap floor
     # raised the bracket search's start; 101,344 probes before a probe
     # within ONE_END_TOL of the capacity ended its solve
     assert converged == 11876
     assert probes <= 86168
     assert worst <= 69
+    # every solve's price, rates, converged flag and probe count, bit for
+    # bit: a change that moves any of them in any of the 12,000 solves
+    # moves the hash, and one that means to says so in CHANGES.md
+    assert found[4] == FUZZ_SHA256
+    assert REFERENCE.read_bytes() == before
+
+
+def test_discovery_rates_lie_within_tol_rate_of_the_ground_truth():
+    # ground_truth.json holds carrier 1's clearing prices and rates at eight
+    # section-5 points, to 40 digits and rounded to float (see
+    # tests/ground_truth.py, which needs mpmath; this test reads only the
+    # file). A converged solve certifies its rates within TOL_RATE of the
+    # clearing allocation, so each of them must lie that near the truth's.
+    errors = truth_errors()
+    assert [capacity for capacity, _, _ in errors] == [50.0, 63.0, 66.0, 68.0, 75.0,
+                                                       100.0, 150.0, 200.0]
+    for capacity, _, rate_error in errors:
+        assert rate_error <= TOL_RATE, capacity
+
+
+def test_truth_mode_prints_one_line_per_point(capsys):
+    before = REFERENCE.read_bytes()
+    main(["--truth"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8
+    for line, (capacity, price_error, rate_error) in zip(lines, truth_errors()):
+        assert line == f"{price_error:.2g} price  {rate_error:.2g} rate  R1={capacity!r}"
     assert REFERENCE.read_bytes() == before
