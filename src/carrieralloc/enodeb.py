@@ -542,69 +542,44 @@ def dual_ascent(
     price clears the capacity, the flag is False, not an exception, and the
     result holds the probe whose demand came nearest the capacity.
     """
-    return _solve(entries, capacity, params, True)
-
-
-def _solve(
-    entries: Sequence, capacity: float, params: Union[SolverParams, None], with_offsets: bool,
-) -> DualAscentResult:
-    """``dual_ascent`` on ``entries``, or, without offsets, ``offered_price``
-    on its (user id, utility) pairs with every offset at zero: the pairs are
-    walked as they are, not copied into entries first."""
     if not entries:
         raise ValueError("entries must not be empty")
     if not (_is_number(capacity) and capacity > 0):
         raise ValueError(f"capacity must be > 0, got {capacity!r}")
 
     capacity = float(capacity)
+    rate_cap = rate_cap_for(entries, capacity)
     inf = math.inf
-    # One walk over the entries: each user's id, kernel row and offset, the
-    # rows of the users with positive offsets, each sigmoid's plateau price a
-    # with the widest core a*sqrt(d) around it within which a response no
-    # longer goes as ln|p - a|, and the largest r_max among the log users,
-    # from which the cap is formed as ``rate_cap_for`` forms it.
+    # Each user's id, and its table row, formed once for all probes: the
+    # utility's kernel row with its cap, offset and the price from which its
+    # response is skipped (inf until a probe reads its rate as 0.0). And each
+    # sigmoid's plateau price a, with the widest core a*sqrt(d) around it
+    # within which a response no longer goes as ln|p - a|.
     user_ids = []
-    rows = []
-    offsets = []
-    offset_rows = []
+    users = []
+    offset_rows = []  # the rows of the users with positive offsets
     plateaus: dict[float, float] = {}
-    cap = capacity
-    for entry in entries:
-        if with_offsets:
-            uid, u, c = entry
-        else:
-            (uid, u), c = entry, 0.0
+    for uid, u, c in entries:
         user_ids.append(uid)
         try:
             row = u._row
             plateau = u._plateau
         except AttributeError:
             raise TypeError(f"not a utility function: {u!r}") from None
-        if with_offsets:
-            # comparisons, not _is_number: no call per user, and no float()
-            # of an int beyond the float range, which would raise
-            # OverflowError
-            if c is True or c is False or not 0.0 <= c <= _P_MAX:
-                raise ValueError(f"user {uid}: offset must be >= 0, got {c!r}")
-            c = float(c)
-            if c > 0.0:
-                offset_rows.append(len(rows))
-        rows.append(row)
-        offsets.append(c)
-        if plateau is None:  # a log user, whose row holds its r_max as q2
-            if row[2] > cap:
-                cap = row[2]
-        else:
+        # comparisons, not _is_number: no call per user, and no float() of
+        # an int beyond the float range, which would raise OverflowError
+        if c is True or c is False or not 0.0 <= c <= _P_MAX:
+            raise ValueError(f"user {uid}: offset must be >= 0, got {c!r}")
+        c = float(c)
+        if c > 0.0:
+            offset_rows.append(len(users))
+        users.append(row + (rate_cap + c, c, inf))
+        if plateau is not None:
             a, core = plateau
             if core >= plateaus.get(a, 0.0):
                 plateaus[a] = core
     if len(set(user_ids)) != len(user_ids):
         raise ValueError(f"duplicate user ids in entries: {user_ids}")
-    rate_cap = 2.0 * cap
-    # The user table, formed once for all probes: each kernel row with its
-    # cap, its offset and the price from which its response is skipped (inf
-    # until a probe reads its rate as 0.0).
-    users = [row + (rate_cap + c, c, inf) for row, c in zip(rows, offsets)]
 
     # Every user's equal-share price, its log-marginal at c + capacity/m,
     # sorted, so that the start does not depend on the order of the users.
@@ -643,4 +618,4 @@ def offered_price(
     demand fills the capacity, is what the carrier advertises to the users
     in its coverage area; callers must check the ``converged`` flag.
     """
-    return _solve(users, capacity, params, False)
+    return dual_ascent([(uid, u, 0.0) for uid, u in users], capacity, params)

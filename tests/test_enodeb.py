@@ -242,6 +242,12 @@ class TestDualAscentMechanics:
         with pytest.raises(ValueError):
             dual_ascent([], 10.0)
 
+    def test_offered_price_rejects_empty_users_of_any_iterable(self):
+        # an empty iterator is truthy: the test must be on what was read
+        for users in ([], iter([]), zip()):
+            with pytest.raises(ValueError, match="must not be empty"):
+                offered_price(users, 1.0)
+
     def test_rejects_duplicate_user_ids(self):
         u = Logarithmic(k=15.0, r_max=100.0)
         with pytest.raises(ValueError, match="duplicate"):
@@ -491,3 +497,6 @@ class TestOfferedPrice:
         via_offered = offered_price(SECTION_USERS, 100.0)
         via_dual = dual_ascent(entries(SECTION_USERS), 100.0)
         assert via_offered == via_dual
+
+    def test_users_may_come_from_an_iterator(self):
+        assert offered_price(iter(SECTION_USERS), 100.0) == offered_price(SECTION_USERS, 100.0)

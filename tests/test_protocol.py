@@ -1,11 +1,13 @@
 """End-to-end protocol: phases, ordering, conservation, failure paths."""
 
+import dataclasses
 import math
 import re
 
 import pytest
 
 from carrieralloc import (
+    AllocationReport,
     CarrierSpec,
     ConvergenceError,
     Logarithmic,
@@ -89,6 +91,14 @@ class TestRun:
         report = run(two_carrier_nine_user(50.0, 100.0))
         assert report.rate(2, 1) == 0.0
         assert report.rate(1, 1) > 0.0
+
+    def test_report_holds_every_field_and_no_other(self):
+        # run fills the report's instance dict directly, not through the
+        # dataclass __init__: a field left out or misspelled must show here
+        report = run(two_carrier_nine_user(70.0, 100.0))
+        names = [f.name for f in dataclasses.fields(AllocationReport)]
+        assert sorted(vars(report)) == sorted(names)
+        assert AllocationReport(**{n: getattr(report, n) for n in names}) == report
 
     def test_rerun_is_bit_identical(self):
         a = run(two_carrier_nine_user(70.0, 100.0))
