@@ -5,6 +5,11 @@ A scenario is a set of carriers (id, capacity) plus a set of users
 the cross-references are consistent: coverage ids exist, every carrier
 covers at least one user, and ids are unique. Rates and capacities are
 dimensionless rate-units throughout.
+
+Each rule has one copy, which direct construction and the JSON loader
+share: the utility constructors check their parameters, and ``Scenario``
+checks ids, coverage and capacities (``_capacity``). The loader checks only
+the document's shape.
 """
 
 from __future__ import annotations
@@ -111,8 +116,34 @@ class SolverParams:
 
     def __post_init__(self):
         n = self.max_outer_iters
-        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+        if not (_is_int(n) and n >= 1):
             raise ValueError(f"max_outer_iters must be an integer >= 1, got {n!r}")
+
+
+# The JSON form of each utility type: its "type" name, and the keys of its
+# parameters, which are also the constructor's, in the constructor's order.
+_UTILITY_FORMS = {
+    "sigmoidal": (Sigmoidal, ("a", "b")),
+    "logarithmic": (Logarithmic, ("k", "r_max")),
+}
+
+
+def _is_int(v) -> bool:
+    """An int; bools are not ints here, though they are in Python."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _capacity(carrier_id: int, capacity) -> float:
+    """The capacity as a float; ScenarioError unless it is a finite number > 0.
+
+    Bools and ints beyond the float range are not numbers here, and the
+    message shows the value as given: -1, not -1.0.
+    """
+    if not (_is_number(capacity) and capacity > 0):
+        raise ScenarioError(
+            f"carrier {carrier_id}: capacity must be > 0, got {capacity!r}"
+        )
+    return float(capacity)
 
 
 def _set_indexes(s: Scenario, user_index: dict, covered_index: dict) -> None:
@@ -129,36 +160,38 @@ def _set_indexes(s: Scenario, user_index: dict, covered_index: dict) -> None:
     object.__setattr__(s, "_covered_index", covered_index)
 
 
+def _check_ids(specs: tuple, kind: str) -> set[int]:
+    """The ids of ``specs``, each an integer >= 1 and none repeated."""
+    ids: set[int] = set()
+    for i, x in enumerate(specs):
+        if not (_is_int(x.id) and x.id >= 1):
+            raise ScenarioError(f"{kind}s[{i}].id: must be an integer >= 1, got {x.id!r}")
+        if x.id in ids:
+            raise ScenarioError(f"{kind}s[{i}].id: duplicate {kind} id {x.id}")
+        ids.add(x.id)
+    return ids
+
+
 def _validate_scenario(s: Scenario) -> None:
     if not s.carriers:
         raise ScenarioError("carriers: must not be empty")
     if not s.users:
         raise ScenarioError("users: must not be empty")
-    carrier_ids = set()
-    for i, c in enumerate(s.carriers):
-        if not isinstance(c.id, int) or isinstance(c.id, bool) or c.id < 1:
-            raise ScenarioError(f"carriers[{i}].id: must be an integer >= 1, got {c.id!r}")
-        if c.id in carrier_ids:
-            raise ScenarioError(f"carriers[{i}].id: duplicate carrier id {c.id}")
-        carrier_ids.add(c.id)
-        if not _is_number(c.capacity) or c.capacity <= 0:
-            raise ScenarioError(
-                f"carrier {c.id}: capacity must be > 0, got {c.capacity!r}"
-            )
-    user_ids = set()
+    carrier_ids = _check_ids(s.carriers, "carrier")
+    for c in s.carriers:
+        _capacity(c.id, c.capacity)
+    _check_ids(s.users, "user")
     covered: set[int] = set()
-    for i, u in enumerate(s.users):
-        if not isinstance(u.id, int) or isinstance(u.id, bool) or u.id < 1:
-            raise ScenarioError(f"users[{i}].id: must be an integer >= 1, got {u.id!r}")
-        if u.id in user_ids:
-            raise ScenarioError(f"users[{i}].id: duplicate user id {u.id}")
-        user_ids.add(u.id)
-        if not isinstance(u.utility, (Sigmoidal, Logarithmic)):
+    for u in s.users:
+        if not isinstance(u.utility, UtilityFunction):
             raise ScenarioError(f"user {u.id}: utility must be Sigmoidal or Logarithmic")
         if not u.coverage:
             raise ScenarioError(f"user {u.id}: coverage must not be empty")
         seen = set()
         for cid in u.coverage:
+            # True and 1.0 would pass for carrier 1 below, as they hash alike
+            if not _is_int(cid):
+                raise ScenarioError(f"user {u.id}: coverage id {cid!r} is not an integer")
             if cid in seen:
                 raise ScenarioError(f"user {u.id}: duplicate carrier id {cid} in coverage")
             seen.add(cid)
@@ -176,25 +209,18 @@ def _utility_from_dict(obj, where: str) -> UtilityFunction:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(obj).__name__}")
     kind = obj.get("type")
-    if kind == "sigmoidal":
-        for f in ("a", "b"):
-            if not _is_number(obj.get(f)) or obj[f] <= 0:
-                raise ScenarioError(f"{where}.{f}: must be a positive number")
-        try:
-            return Sigmoidal(a=float(obj["a"]), b=float(obj["b"]))
-        except ValueError as e:
-            raise ScenarioError(f"{where}: {e}") from e
-    if kind == "logarithmic":
-        for f in ("k", "r_max"):
-            if not _is_number(obj.get(f)) or obj[f] <= 0:
-                raise ScenarioError(f"{where}.{f}: must be a positive number")
-        try:
-            return Logarithmic(k=float(obj["k"]), r_max=float(obj["r_max"]))
-        except ValueError as e:
-            raise ScenarioError(f"{where}: {e}") from e
-    raise ScenarioError(
-        f"{where}.type: expected 'sigmoidal' or 'logarithmic', got {kind!r}"
-    )
+    if not (isinstance(kind, str) and kind in _UTILITY_FORMS):
+        names = " or ".join(map(repr, _UTILITY_FORMS))
+        raise ScenarioError(f"{where}.type: expected {names}, got {kind!r}")
+    cls, keys = _UTILITY_FORMS[kind]
+    params = [obj.get(key) for key in keys]
+    try:
+        u = cls(*params)
+    except ValueError as e:
+        raise ScenarioError(f"{where}: {e}") from e
+    # a loaded utility holds floats: JSON integers are converted once the
+    # constructor has accepted them
+    return u if all(type(p) is float for p in params) else cls(*map(float, params))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -207,6 +233,12 @@ def parse_scenario(text: str) -> Scenario:
                     "utility": {"type": "sigmoidal", "a": 5, "b": 10}
                              | {"type": "logarithmic", "k": 15, "r_max": 100},
                     "coverage": [1, ...]}, ...]}
+
+    Ids are integers >= 1, unique among the carriers and among the users;
+    capacities and utility parameters are finite numbers > 0, loaded as
+    floats; each coverage list names known carriers, none twice, and every
+    carrier is covered by some user. Any other document raises
+    ScenarioError, with the path of the offending value where it has one.
     """
     try:
         doc = json.loads(text)
@@ -224,35 +256,30 @@ def parse_scenario(text: str) -> Scenario:
     for i, c in enumerate(doc["carriers"]):
         if not isinstance(c, dict):
             raise ScenarioError(f"carriers[{i}]: expected an object")
-        cid = c.get("id")
-        if not isinstance(cid, int) or isinstance(cid, bool):
-            raise ScenarioError(f"carriers[{i}].id: must be an integer")
-        if not _is_number(c.get("capacity")):
-            raise ScenarioError(f"carriers[{i}].capacity: must be a number")
-        carriers.append(CarrierSpec(id=cid, capacity=float(c["capacity"])))
+        carriers.append(CarrierSpec(id=c.get("id"), capacity=c.get("capacity")))
 
     users = []
     for i, u in enumerate(doc["users"]):
         if not isinstance(u, dict):
             raise ScenarioError(f"users[{i}]: expected an object")
-        uid = u.get("id")
-        if not isinstance(uid, int) or isinstance(uid, bool):
-            raise ScenarioError(f"users[{i}].id: must be an integer")
         coverage = u.get("coverage")
-        if not isinstance(coverage, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in (coverage or [])
-        ):
+        if not isinstance(coverage, list):
             raise ScenarioError(f"users[{i}].coverage: must be a list of carrier ids")
         utility = _utility_from_dict(u.get("utility"), f"users[{i}].utility")
-        users.append(UserSpec(id=uid, utility=utility, coverage=tuple(coverage)))
+        users.append(UserSpec(id=u.get("id"), utility=utility, coverage=tuple(coverage)))
 
-    return Scenario(carriers=tuple(carriers), users=tuple(users))
+    s = Scenario(carriers=tuple(carriers), users=tuple(users))
+    # a loaded capacity is a float too, converted once the scenario took it
+    if any(type(c.capacity) is not float for c in carriers):
+        carriers = [CarrierSpec(id=c.id, capacity=float(c.capacity)) for c in carriers]
+        s = Scenario(carriers=tuple(carriers), users=s.users)
+    return s
 
 
 def _utility_to_dict(u: UtilityFunction) -> dict:
-    if isinstance(u, Sigmoidal):
-        return {"type": "sigmoidal", "a": u.a, "b": u.b}
-    return {"type": "logarithmic", "k": u.k, "r_max": u.r_max}
+    for kind, (cls, keys) in _UTILITY_FORMS.items():
+        if isinstance(u, cls):
+            return {"type": kind, **{key: getattr(u, key) for key in keys}}
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -286,28 +313,23 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 def with_capacity(s: Scenario, carrier_id: int, capacity: float) -> Scenario:
     """Copy of the scenario with one carrier's capacity replaced by float(capacity).
 
-    Only the carrier and the new capacity are validated: the capacity must
-    be a finite number > 0, and bools and ints beyond the float range are
-    not numbers here. A capacity changes none of the rest, which ``s``
-    already validated, so the copy keeps ``s.users`` (the same object) and
-    its user and coverage indexes, and rebuilds only its carriers and their
-    index. It equals, and answers every lookup as, a Scenario built afresh
-    from the new carriers and ``s.users``.
+    Only the carrier id and the new capacity (see ``_capacity``) are
+    validated: a capacity changes none of the rest, which ``s`` already
+    validated, so the copy keeps ``s.users`` (the same object) and its user
+    and coverage indexes, and rebuilds only its carriers and their index.
+    It equals, and answers every lookup as, a Scenario built afresh from
+    the new carriers and ``s.users``.
 
     A sweep makes one copy a point, so the copy and its new carrier are
     made without their frozen ``__init__``: each instance dict is filled in
     one update, not one ``object.__setattr__`` a field.
     """
-    try:
-        old = s._carrier_index[carrier_id]
-    except KeyError:
-        raise ScenarioError(f"no carrier with id {carrier_id}") from None
-    if not (_is_number(capacity) and capacity > 0):
-        raise ScenarioError(
-            f"carrier {carrier_id}: capacity must be > 0, got {capacity!r}"
-        )
+    old = s._carrier_index.get(carrier_id)
+    # True and 1.0 find carrier 1, as they hash alike, but are no carrier id
+    if old is None or not _is_int(carrier_id):
+        raise ScenarioError(f"no carrier with id {carrier_id}")
     new = object.__new__(CarrierSpec)
-    new.__dict__.update(id=old.id, capacity=float(capacity))
+    new.__dict__.update(id=old.id, capacity=_capacity(carrier_id, capacity))
     carrier_index = s._carrier_index.copy()
     carrier_index[old.id] = new
     out = object.__new__(Scenario)
@@ -331,8 +353,8 @@ def two_carrier_nine_user(r1: float = 100.0, r2: float = 100.0) -> Scenario:
     """
     return Scenario(
         carriers=(
-            CarrierSpec(id=1, capacity=float(r1)),
-            CarrierSpec(id=2, capacity=float(r2)),
+            CarrierSpec(id=1, capacity=_capacity(1, r1)),
+            CarrierSpec(id=2, capacity=_capacity(2, r2)),
         ),
         users=(
             UserSpec(id=1, utility=Sigmoidal(a=5.0, b=10.0), coverage=(1,)),

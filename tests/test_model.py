@@ -1,5 +1,6 @@
 """Scenario model: validation, JSON round trips, and the built-in preset."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -20,6 +21,7 @@ from carrieralloc import (
     UserSpec,
     parse_scenario,
     serialize_scenario,
+    sweep,
     two_carrier_nine_user,
     with_capacity,
 )
@@ -92,7 +94,10 @@ class TestParse:
     def test_nonpositive_utility_parameter(self):
         doc = json.loads(VALID_DOC)
         doc["users"][0]["utility"]["a"] = 0
-        with pytest.raises(ScenarioError, match=r"users\[0\].utility.a"):
+        with pytest.raises(
+            ScenarioError,
+            match=r"^users\[0\]\.utility: sigmoidal steepness a must be > 0, got 0$",
+        ):
             parse_scenario(json.dumps(doc))
 
     def test_unknown_utility_type(self):
@@ -136,6 +141,16 @@ class TestScenarioConsistency:
         with pytest.raises(ScenarioError, match="no carrier with id 7"):
             with_capacity(two_carrier_nine_user(), 7, 50.0)
 
+    @pytest.mark.parametrize("carrier_id", [True, 1.0], ids=["True", "1.0"])
+    def test_a_key_equal_to_an_id_is_no_carrier_id(self, carrier_id):
+        # True and 1.0 hash as 1 does, so they silently selected carrier 1
+        s = two_carrier_nine_user()
+        want = f"no carrier with id {carrier_id}$"
+        with pytest.raises(ScenarioError, match=want):
+            with_capacity(s, carrier_id, 60.0)
+        with pytest.raises(ScenarioError, match=want):
+            sweep(s, carrier_id, [60.0])
+
     @pytest.mark.parametrize(
         "capacity",
         [True, False, 10**400, -10**400, -1, 0, 0.0, -2.5, math.inf, math.nan, "60"],
@@ -174,6 +189,21 @@ class TestPreset:
         s = two_carrier_nine_user(175.0)
         assert s.carrier(1).capacity == 175.0
         assert s.carrier(2).capacity == 100.0
+
+    def test_int_capacities_are_held_as_floats(self):
+        s = two_carrier_nine_user(175, 60)
+        assert [type(c.capacity) for c in s.carriers] == [float, float]
+        assert s == two_carrier_nine_user(175.0, 60.0)
+
+    @pytest.mark.parametrize("capacities, want", [
+        ((True,), "carrier 1: capacity must be > 0, got True"),
+        (("1e2",), "carrier 1: capacity must be > 0, got '1e2'"),
+        ((100.0, 0), "carrier 2: capacity must be > 0, got 0"),
+    ], ids=["True", "str", "zero"])
+    def test_capacity_that_is_no_positive_number_rejected(self, capacities, want):
+        # float() made True 1.0 and "1e2" 100.0 before any check
+        with pytest.raises(ScenarioError, match=re.escape(want) + "$"):
+            two_carrier_nine_user(*capacities)
 
 
 class TestSolverParams:
@@ -259,3 +289,75 @@ class TestDirectConstruction:
     def test_empty_carriers_rejected(self):
         with pytest.raises(ScenarioError, match="carriers: must not be empty"):
             Scenario(carriers=(), users=())
+
+
+# One valid document, and the rows of the table below: a path into it and
+# the value put there, each of which both entry points must reject.
+BASE_DOC = {
+    "carriers": [{"id": 1, "capacity": 100.0}, {"id": 2, "capacity": 50.0}],
+    "users": [
+        {"id": 1, "utility": {"type": "sigmoidal", "a": 5.0, "b": 10.0}, "coverage": [1]},
+        {"id": 2, "utility": {"type": "logarithmic", "k": 15.0, "r_max": 100.0},
+         "coverage": [1, 2]},
+    ],
+}
+_CARRIER, _USER = ("carriers", 0), ("users", 0)
+INVALID_INPUTS = {
+    "carrier id True": (_CARRIER + ("id",), True),
+    "carrier id 1.0": (_CARRIER + ("id",), 1.0),
+    "carrier id 0": (_CARRIER + ("id",), 0),
+    "carrier id -1": (_CARRIER + ("id",), -1),
+    "user id True": (_USER + ("id",), True),
+    "user id 1.0": (_USER + ("id",), 1.0),
+    "user id 0": (_USER + ("id",), 0),
+    "coverage id True": (_USER + ("coverage", 0), True),
+    "coverage id 1.0": (_USER + ("coverage", 0), 1.0),
+    "coverage id 2.0": (("users", 1, "coverage", 1), 2.0),
+    "capacity 0": (_CARRIER + ("capacity",), 0),
+    "capacity nan": (_CARRIER + ("capacity",), math.nan),
+    "capacity True": (_CARRIER + ("capacity",), True),
+    "capacity str": (_CARRIER + ("capacity",), "100"),
+    "capacity 1e400": (_CARRIER + ("capacity",), 10**400),
+    "sigmoidal a 0": (_USER + ("utility", "a"), 0),
+    "sigmoidal a True": (_USER + ("utility", "a"), True),
+    "sigmoidal b -1": (_USER + ("utility", "b"), -1.0),
+    "sigmoidal b str": (_USER + ("utility", "b"), "10"),
+    "logarithmic k 0": (("users", 1, "utility", "k"), 0),
+    "logarithmic k nan": (("users", 1, "utility", "k"), math.nan),
+    "logarithmic r_max 1e400": (("users", 1, "utility", "r_max"), 10**400),
+    "logarithmic r_max missing": (("users", 1, "utility", "r_max"), None),
+}
+
+
+def _build_directly(doc) -> Scenario:
+    """The scenario ``doc`` describes, built from the model types, not from JSON."""
+    kinds = {"sigmoidal": Sigmoidal, "logarithmic": Logarithmic}
+    users = []
+    for u in doc["users"]:
+        params = {k: v for k, v in u["utility"].items() if k != "type"}
+        utility = kinds[u["utility"]["type"]](**params)
+        users.append(UserSpec(id=u["id"], utility=utility, coverage=tuple(u["coverage"])))
+    carriers = [CarrierSpec(id=c["id"], capacity=c["capacity"]) for c in doc["carriers"]]
+    return Scenario(carriers=tuple(carriers), users=tuple(users))
+
+
+def test_base_document_is_valid_through_both_entry_points():
+    assert parse_scenario(json.dumps(BASE_DOC)) == _build_directly(BASE_DOC)
+
+
+@pytest.mark.parametrize("path, value", INVALID_INPUTS.values(), ids=INVALID_INPUTS)
+def test_both_entry_points_reject_the_same_inputs(path, value):
+    # a coverage id of True or 1.0 was rejected only by the JSON loader:
+    # the scenario built directly ran, and serialized to a document that
+    # the loader rejected
+    doc = copy.deepcopy(BASE_DOC)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ScenarioError):
+        parse_scenario(json.dumps(doc))
+    # a utility constructor raises ValueError; the loader wraps it
+    with pytest.raises(ValueError):
+        _build_directly(doc)

@@ -8,7 +8,8 @@ in float64. A scenario's indexed lookups are checked against linear scans
 of its carriers and users, over random valid scenarios and the copies that
 ``with_capacity``, ``dataclasses.replace`` and a JSON round trip make, and
 ``with_capacity`` gives the scenario that a fresh build of its carriers
-gives. Each utility's kernel row, formed at construction, is its kernel
+gives. A scenario of int and float numbers loads back from its JSON as an
+equal scenario of floats, whose document loads and serializes to itself. Each utility's kernel row, formed at construction, is its kernel
 encoding, and ==, hash, repr, pickling and copies see its parameters alone. A
 carrier solve that reports convergence is checked against its own trace:
 two of its probes bracket the capacity and certify the returned rates, or
@@ -222,6 +223,36 @@ def test_with_capacity_equals_a_fresh_build(s, data):
     assert_lookups_match_linear_scans(resized)
     assert s.carrier(cid).capacity == old
     assert next(c for c in s.carriers if c.id == cid).capacity == old
+
+
+# Int and float parameters, each drawn on its own, over the whole float range
+number_utilities = st.one_of(
+    st.builds(Sigmoidal, a=positive_capacities, b=positive_capacities),
+    st.builds(Logarithmic, k=positive_capacities, r_max=positive_capacities),
+)
+
+
+def holds_floats_only(s):
+    return all(type(c.capacity) is float for c in s.carriers) and all(
+        type(getattr(u.utility, f.name)) is float
+        for u in s.users
+        for f in dataclasses.fields(u.utility)
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(s=scenarios(capacities=positive_capacities, kinds=number_utilities))
+def test_json_round_trip_loads_an_equal_scenario_of_floats(s):
+    text = serialize_scenario(s)
+    loaded = parse_scenario(text)
+    assert loaded == s
+    assert holds_floats_only(loaded)
+    # the loaded scenario serializes to the same bytes every time, and to
+    # the original document when every number in it was a float already
+    again = serialize_scenario(loaded)
+    assert serialize_scenario(parse_scenario(again)) == again
+    if holds_floats_only(s):
+        assert again == text
 
 
 # Sigmoids with a*b > 75 put a plateau in demand: their response is
